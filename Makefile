@@ -3,13 +3,14 @@
 # interprocedural closer/goexit/lockorder/atomicmix suite, see
 # DESIGN.md §11 and §15), the suppression budget (lint-ignores), the
 # full test suite under the race detector (the
-# chaos, netsim, and planner-equivalence concurrency tests are required
-# to be race-clean), the degraded-shard chaos suite (make chaos),
+# chaos, sim-transport, and planner-equivalence concurrency tests are
+# required to be race-clean), the degraded-shard chaos suite (make chaos),
 # per-package coverage floors, a fuzz smoke pass, a closed-loop load
 # test against an in-process qbismd (loadtest-smoke), and a
 # one-iteration perfbench smoke run. Run `make check` before merging;
 # `make bench` regenerates BENCH_PR7.json and BENCH_PR8.json through
-# the versioned envelope in internal/bench.
+# the versioned envelope in internal/bench. `make stress` repeats the
+# timing-sensitive concurrency tests under -race to flush out flakes.
 
 GO ?= go
 
@@ -27,7 +28,7 @@ FUZZTIME ?= 5s
 # reviewed change. See `make lint-ignores` for the inventory.
 LINT_IGNORE_BUDGET := $(shell cat lint_ignore_budget.txt)
 
-.PHONY: check vet build lint lint-ignores test race cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
+.PHONY: check vet build lint lint-ignores test race stress cover chaos fuzz-smoke bench bench-smoke loadtest-smoke
 
 check: vet build lint lint-ignores race chaos cover fuzz-smoke loadtest-smoke bench-smoke
 
@@ -57,6 +58,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The drain, circuit-breaker, hedging, and admission-control tests —
+# the ones whose outcome hangs on goroutine and socket timing — run 100
+# times each under the race detector, so a 1-in-100 flake shows up
+# here instead of in a tier-1 run.
+stress:
+	$(GO) test -race -count=100 -run 'Drain|Breaker|Hedge|Admission|Admitter' ./internal/transport ./internal/cluster ./internal/qbism
 
 # The fault-injection suites under the race detector: the single-node
 # chaos tests and the degraded-shard cluster suite (dead, slow,

@@ -3,11 +3,14 @@
 // failover, circuit breaking, and hedging — all on a deterministic
 // simulated clock so chaos runs replay byte-for-byte from a seed.
 //
-// The package is deliberately generic: a Node is anything that can
-// answer a framed request (a local qbism System, a simulated-remote
-// link, a test fake). Routing is by (patient, study) key so a study's
-// queries always land on the same shard regardless of which front end
-// issues them.
+// The package is deliberately generic: a node is any
+// transport.Transport (a simulated link to a local qbism System, a TCP
+// connection to a daemon, a test fake). Each call is priced from the
+// node's Stats().Latency delta — the simulated latency of the call,
+// which drives the cluster's clock, EWMA tracking, and hedging
+// decisions. Routing is by (patient, study) key so a study's queries
+// always land on the same shard regardless of which front end issues
+// them.
 package cluster
 
 import (
@@ -17,39 +20,8 @@ import (
 
 	"qbism/internal/faultsim"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
-
-// Node is one storage node: something that can answer a framed request.
-// Implementations report the *simulated* latency of the call (network
-// model time plus injected latency), which drives the cluster's clock,
-// EWMA tracking, and hedging decisions. Call must be safe for
-// concurrent use.
-type Node interface {
-	// Name identifies the node in metrics and errors (e.g. "s0p",
-	// "s1r1").
-	Name() string
-	// Call answers one request, returning the response payload and the
-	// call's simulated latency. Errors should wrap typed causes with %w
-	// so errors.Is classification survives the cluster's own wrapping.
-	Call(parent *obs.Span, method string, request []byte) (resp []byte, simLatency time.Duration, err error)
-}
-
-// Local adapts a plain handler function into a Node — the "local"
-// flavor of the node seam, for in-process shards and tests.
-type Local struct {
-	// NodeName is the node's identity in metrics and errors.
-	NodeName string
-	// Handler answers the request.
-	Handler func(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error)
-}
-
-// Name implements Node.
-func (l *Local) Name() string { return l.NodeName }
-
-// Call implements Node.
-func (l *Local) Call(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error) {
-	return l.Handler(parent, method, request)
-}
 
 // Key routes a query: every (patient, study) pair maps to exactly one
 // shard, so a study's rows are always served by the same node set.
@@ -114,21 +86,13 @@ type Config struct {
 	// disables breaking (reads still fail over, they just keep dialing
 	// dead primaries first).
 	Breaker BreakerConfig
-	// MaxAttempts bounds the calls one Read may issue across all of a
-	// shard's nodes (1 = no retries, no failover). Defaults to 1 per
-	// node in the widest shard, minimum 2, when zero.
-	MaxAttempts int
-	// Backoff returns the simulated wait before retrying after the
-	// given 1-based failed attempt. Nil means no backoff (the clock
-	// still advances by per-call quanta).
-	Backoff func(attempt int, rng *faultsim.Rand) time.Duration
-	// JitterSeed seeds the per-key backoff jitter stream; two runs with
-	// the same seed and key sequence back off identically.
-	JitterSeed uint64
-	// Retryable classifies errors: true means another node or attempt
-	// may cure it, false is terminal (semantic failure). Nil treats
-	// every error as retryable.
-	Retryable func(error) bool
+	// Retry is the failover schedule, used as given: MaxAttempts bounds
+	// the calls one Read issues across all of a shard's nodes (values
+	// below 1 mean one call, no failover), Backoff/Seed drive the
+	// deterministic jittered waits between them (a zero BaseBackoff
+	// waits nothing; the clock still advances by per-call quanta), and
+	// transport.RetryableError decides which failures fail over.
+	Retry transport.RetryPolicy
 	// HedgeAfter enables hedged reads: when the serving node's EWMA of
 	// simulated latency reaches this threshold, Read also dials the
 	// next healthy node and takes the faster answer. Zero disables
@@ -143,13 +107,7 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c Config) withDefaults(widest int) Config {
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = widest
-		if c.MaxAttempts < 2 {
-			c.MaxAttempts = 2
-		}
-	}
+func (c Config) withDefaults() Config {
 	if c.CallQuantum <= 0 {
 		c.CallQuantum = time.Millisecond
 	}
@@ -162,9 +120,13 @@ const ewmaAlpha = 0.3
 
 // shardState is one shard's node set plus health bookkeeping.
 type shardState struct {
-	nodes    []Node
+	nodes    []transport.Transport
+	names    []string
 	breakers []*Breaker
-	ewma     []float64 // guarded by Cluster.mu; simulated ns per call
+	// calls serializes each node's calls so the Stats delta pricing a
+	// call is exact; different nodes still serve concurrently.
+	calls []sync.Mutex
+	ewma  []float64 // guarded by Cluster.mu; simulated ns per call
 }
 
 // Cluster executes reads against sharded, replicated nodes.
@@ -177,37 +139,42 @@ type Cluster struct {
 	simNow time.Duration // simulated clock; advances per call + backoff
 }
 
-// New builds a cluster over the given node sets, one inner slice per
-// shard (index 0 is the primary, the rest replicas). Every shard must
-// have at least one node.
-func New(cfg Config, shards [][]Node) (*Cluster, error) {
+// New builds a cluster over the given node transports, one inner
+// slice per shard (index 0 is the primary, the rest replicas). Every
+// shard must have at least one node. Nodes are named by position:
+// s<shard>p for a primary, s<shard>r<i> for replica i.
+func New(cfg Config, shards [][]transport.Transport) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
-	widest := 0
-	for i, nodes := range shards {
-		if len(nodes) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no nodes", i)
-		}
-		if len(nodes) > widest {
-			widest = len(nodes)
-		}
-	}
 	c := &Cluster{
-		cfg:  cfg.withDefaults(widest),
+		cfg:  cfg.withDefaults(),
 		part: NewPartitioner(len(shards)),
 	}
-	for _, nodes := range shards {
+	for sh, nodes := range shards {
+		if len(nodes) == 0 {
+			return nil, fmt.Errorf("cluster: shard %d has no nodes", sh)
+		}
 		st := &shardState{
 			nodes: nodes,
+			calls: make([]sync.Mutex, len(nodes)),
 			ewma:  make([]float64, len(nodes)),
 		}
-		for range nodes {
+		for r := range nodes {
+			st.names = append(st.names, nodeName(sh, r))
 			st.breakers = append(st.breakers, NewBreaker(cfg.Breaker))
 		}
 		c.shards = append(c.shards, st)
 	}
 	return c, nil
+}
+
+// nodeName follows the s<shard>p / s<shard>r<i> convention.
+func nodeName(shard, replica int) string {
+	if replica == 0 {
+		return fmt.Sprintf("s%dp", shard)
+	}
+	return fmt.Sprintf("s%dr%d", shard, replica)
 }
 
 // Partitioner returns the cluster's routing function.
@@ -292,9 +259,12 @@ type ReadInfo struct {
 	LatencySim time.Duration
 }
 
-// Read routes the key to its shard and reads from it.
-func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte) ([]byte, ReadInfo, error) {
-	return c.ReadShard(parent, c.part.Shard(key), key, method, request)
+// Read routes the key to its shard and reads from it. validate, when
+// non-nil, runs on each successful response, as in transport.CallRetry:
+// a reply that fails it counts as a failed call, so a payload tampered
+// in flight fails over like a dropped one.
+func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
+	return c.ReadShard(parent, c.part.Shard(key), key, method, request, validate)
 }
 
 // ReadShard executes one read against a specific shard: it dials the
@@ -304,7 +274,7 @@ func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte)
 // ErrShardUnavailable once attempts are exhausted. Terminal (semantic)
 // errors return immediately without failover — another replica would
 // give the same answer.
-func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string, request []byte) ([]byte, ReadInfo, error) {
+func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, ReadInfo{Shard: shard}, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.shards))
 	}
@@ -315,77 +285,68 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 	span.SetStr("key", key.String())
 
 	info := ReadInfo{Shard: shard}
-	rng := faultsim.NewRand(c.cfg.JitterSeed ^ key.Hash())
+	pol := c.cfg.Retry
+	rng := faultsim.NewRand(pol.Seed ^ key.Hash())
 	var lastErr error
 	prevNode := -1
 
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; ; attempt++ {
 		// Pick the first healthy node, preferring the primary, then
 		// skipping past the node that just failed so consecutive
 		// attempts rotate through the shard.
 		node := c.pickNode(st, prevNode)
+		info.Attempts++
 		if node < 0 {
 			// Every breaker is open and refusing probes: charge the
 			// quantum so cooldowns eventually elapse, then retry.
 			c.advance(c.cfg.CallQuantum)
-			info.Attempts++
 			lastErr = fmt.Errorf("cluster: shard %d: all %d node(s) circuit-open", shard, len(st.nodes))
-			if attempt < c.cfg.MaxAttempts {
-				info.Retries++
-				info.BackoffSim += c.backoffWait(attempt, rng)
+		} else {
+			if prevNode >= 0 && node != prevNode {
+				info.Failovers++
+				c.count("cluster_failover_total", 1)
+				span.SetStr("failover", st.names[node])
 			}
-			continue
-		}
-		if prevNode >= 0 && node != prevNode {
-			info.Failovers++
-			c.count("cluster_failover_total", 1)
-			span.SetStr("failover", st.nodes[node].Name())
-		}
-		// Hedging keys off the EWMA as of *before* this call: a node
-		// already known slow gets a racing replica call; the first slow
-		// response merely seeds the average.
-		priorEWMA := c.nodeEWMA(st, node)
-		resp, lat, err := c.callNode(span, st, node, method, request)
-		info.Attempts++
-		if err == nil {
-			winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, resp, lat)
-			if hedged {
-				info.Attempts++
-				info.Hedged = true
-				info.HedgeWon = hedgeWon
+			// Hedging keys off the EWMA as of *before* this call: a node
+			// already known slow gets a racing replica call; the first
+			// slow response merely seeds the average.
+			priorEWMA := c.nodeEWMA(st, node)
+			resp, lat, err := c.callNode(span, st, node, method, request, validate)
+			if err == nil {
+				winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, validate, lat)
+				if hedged {
+					info.Attempts++
+					info.Hedged = true
+					info.HedgeWon = hedgeWon
+				}
+				info.Node = st.names[winner]
+				info.LatencySim = winLat
+				span.SetStr("node", info.Node)
+				span.SetStr("sim_latency", winLat.String())
+				// Replicas hold byte-identical data, so the served
+				// node's payload is the answer whichever call won.
+				return resp, info, nil
 			}
-			info.Node = st.nodes[winner].Name()
-			info.LatencySim = winLat
-			span.SetStr("node", info.Node)
-			span.SetStr("sim_latency", winLat.String())
-			return c.winnerResp(resp, hedgeWon), info, nil
+			lastErr = fmt.Errorf("node %s: %w", st.names[node], err)
+			prevNode = node
+			if !transport.RetryableError(err) {
+				// Terminal: every replica holds identical bytes, so a
+				// semantic failure is the answer, not a health problem.
+				info.Node = st.names[node]
+				span.SetStr("terminal", err.Error())
+				return nil, info, fmt.Errorf("cluster: shard %d %s: %w", shard, key, lastErr)
+			}
 		}
-		lastErr = fmt.Errorf("node %s: %w", st.nodes[node].Name(), err)
-		prevNode = node
-		if c.cfg.Retryable != nil && !c.cfg.Retryable(err) {
-			// Terminal: every replica holds identical bytes, so a
-			// semantic failure is the answer, not a health problem.
-			info.Node = st.nodes[node].Name()
-			span.SetStr("terminal", err.Error())
-			return nil, info, fmt.Errorf("cluster: shard %d %s: %w", shard, key, lastErr)
+		if attempt >= pol.MaxAttempts {
+			break
 		}
-		if attempt < c.cfg.MaxAttempts {
-			info.Retries++
-			info.BackoffSim += c.backoffWait(attempt, rng)
-		}
+		info.Retries++
+		info.BackoffSim += c.backoffWait(pol, attempt, rng)
 	}
 	c.count("cluster_shard_unavailable_total", 1)
 	span.SetInt("unavailable", 1)
 	err := fmt.Errorf("%w: shard %d after %d attempt(s): %w", ErrShardUnavailable, shard, info.Attempts, lastErr)
 	return nil, info, err
-}
-
-// winnerResp is a readability helper: the hedge path already returned
-// the winning payload via maybeHedge's contract that both responses are
-// byte-identical, so the primary response is always safe to return.
-func (c *Cluster) winnerResp(resp []byte, hedgeWon bool) []byte {
-	_ = hedgeWon // responses are byte-identical replicas; latency picked the winner
-	return resp
 }
 
 // pickNode returns the index of the first breaker-admitted node,
@@ -413,16 +374,25 @@ func (c *Cluster) pickNode(st *shardState, avoid int) int {
 }
 
 // callNode issues one node call, advancing the simulated clock and
-// updating breaker + EWMA + per-node metrics.
-func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method string, request []byte) ([]byte, time.Duration, error) {
-	n := st.nodes[node]
-	resp, lat, err := n.Call(span, method, request)
+// updating breaker + EWMA + per-node metrics. The call's latency is
+// the node's Stats().Latency delta, taken under the node's call lock.
+// A response that fails validate counts as a failed call.
+func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method string, request []byte, validate func([]byte) error) ([]byte, time.Duration, error) {
+	t, name := st.nodes[node], st.names[node]
+	st.calls[node].Lock()
+	before := t.Stats().Latency
+	resp, err := t.Call(span, method, request)
+	lat := t.Stats().Latency - before
+	st.calls[node].Unlock()
+	if err == nil && validate != nil {
+		err = validate(resp)
+	}
 	effective := lat + c.cfg.CallQuantum
 	now := c.advance(effective)
-	c.observe("cluster_node_latency_seconds_"+n.Name(), effective)
+	c.observe("cluster_node_latency_seconds_"+name, effective)
 	if err != nil {
 		st.breakers[node].OnFailure(now)
-		c.count("cluster_node_errors_total_"+n.Name(), 1)
+		c.count("cluster_node_errors_total_"+name, 1)
 		return nil, lat, err
 	}
 	st.breakers[node].OnSuccess()
@@ -433,8 +403,8 @@ func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method stri
 // maybeHedge issues a hedge call when the serving node's EWMA crossed
 // HedgeAfter and another healthy node exists; it returns the winning
 // node index and latency. Replicas are byte-identical, so "winning" is
-// purely a latency race — the primary payload is always returnable.
-func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, resp []byte, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
+// purely a latency race and the hedge's payload is not needed.
+func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, validate func([]byte) error, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
 	winner, winLat = served, lat
 	if c.cfg.HedgeAfter <= 0 || len(st.nodes) < 2 {
 		return
@@ -447,25 +417,21 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 		return
 	}
 	hspan := span.Child("cluster.hedge")
-	hspan.SetStr("node", st.nodes[alt].Name())
-	altResp, altLat, err := c.callNode(hspan, st, alt, method, request)
+	hspan.SetStr("node", st.names[alt])
+	_, altLat, err := c.callNode(hspan, st, alt, method, request, validate)
 	hspan.End()
 	hedged = true
 	c.count("cluster_hedged_total", 1)
 	if err == nil && altLat < winLat {
 		winner, winLat, hedgeWon = alt, altLat, true
-		_ = altResp // byte-identical to resp; keep the already-returned payload
 	}
 	return
 }
 
 // backoffWait computes, charges to the clock, and returns one retry's
 // simulated backoff.
-func (c *Cluster) backoffWait(attempt int, rng *faultsim.Rand) time.Duration {
-	if c.cfg.Backoff == nil {
-		return 0
-	}
-	d := c.cfg.Backoff(attempt, rng)
+func (c *Cluster) backoffWait(pol transport.RetryPolicy, attempt int, rng *faultsim.Rand) time.Duration {
+	d := pol.Backoff(attempt, rng)
 	if d > 0 {
 		c.advance(d)
 	}

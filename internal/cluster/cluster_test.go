@@ -6,32 +6,41 @@ import (
 	"testing"
 	"time"
 
-	"qbism/internal/faultsim"
 	"qbism/internal/obs"
+	"qbism/internal/transport"
 )
 
-var errFlaky = errors.New("flaky node")
+// errFlaky is a transient failure (transport.RetryableError says
+// retry); errSemantic is terminal.
+var errFlaky = fmt.Errorf("flaky node: %w", transport.ErrConn)
 var errSemantic = errors.New("unknown study")
 
-// fakeNode answers from a script: each call consumes the next entry.
+// fakeNode is a transport that answers from a script: each call
+// consumes the next entry and costs lat of simulated latency. The
+// cluster names nodes by position (s0p, s0r1, ...).
 type fakeNode struct {
-	name    string
 	resp    []byte
 	lat     time.Duration
 	failSeq []error // per-call errors; nil entry = success; exhausted = success
 	calls   int
+	stats   transport.Stats
 }
 
-func (f *fakeNode) Name() string { return f.name }
-
-func (f *fakeNode) Call(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error) {
+func (f *fakeNode) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
 	i := f.calls
 	f.calls++
+	f.stats.Calls++
+	f.stats.Latency += f.lat
 	if i < len(f.failSeq) && f.failSeq[i] != nil {
-		return nil, f.lat, fmt.Errorf("call %d: %w", i+1, f.failSeq[i])
+		f.stats.Errors++
+		return nil, fmt.Errorf("call %d: %w", i+1, f.failSeq[i])
 	}
-	return f.resp, f.lat, nil
+	return f.resp, nil
 }
+
+func (f *fakeNode) Stats() transport.Stats { return f.stats }
+
+func (f *fakeNode) Close() error { return nil }
 
 func alwaysFail(err error) []error {
 	seq := make([]error, 64)
@@ -41,24 +50,21 @@ func alwaysFail(err error) []error {
 	return seq
 }
 
-func retryFlaky(err error) bool { return errors.Is(err, errFlaky) }
-
 func testConfig() Config {
 	return Config{
-		MaxAttempts: 4,
-		Retryable:   retryFlaky,
+		Retry:       transport.RetryPolicy{MaxAttempts: 4},
 		CallQuantum: time.Millisecond,
 	}
 }
 
 func TestReadPrimaryHappyPath(t *testing.T) {
-	p := &fakeNode{name: "s0p", resp: []byte("primary")}
-	r := &fakeNode{name: "s0r1", resp: []byte("primary")}
-	c, err := New(testConfig(), [][]Node{{p, r}})
+	p := &fakeNode{resp: []byte("primary")}
+	r := &fakeNode{resp: []byte("primary")}
+	c, err := New(testConfig(), [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", []byte("req"))
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", []byte("req"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +83,13 @@ func TestReadFailsOverToReplica(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig()
 	cfg.Metrics = reg
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
-	r := &fakeNode{name: "s0r1", resp: []byte("rows")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	r := &fakeNode{resp: []byte("rows")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil)
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +107,48 @@ func TestReadFailsOverToReplica(t *testing.T) {
 	}
 }
 
+// TestReadValidateFailureFailsOver: a reply that fails validation (a
+// payload tampered in flight) is a failed call — the breaker and error
+// counters see it and the read fails over to the replica.
+func TestReadValidateFailureFailsOver(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig()
+	cfg.Metrics = reg
+	p := &fakeNode{resp: []byte("tampered")}
+	r := &fakeNode{resp: []byte("rows")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := func(b []byte) error {
+		if string(b) != "rows" {
+			return fmt.Errorf("bad reply: %w", transport.ErrFrameCorrupt)
+		}
+		return nil
+	}
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, validate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp) != "rows" || info.Node != "s0r1" || info.Failovers != 1 {
+		t.Fatalf("resp = %q, info = %+v; want the replica's rows after one failover", resp, info)
+	}
+	if got := reg.Counter("cluster_node_errors_total_s0p").Value(); got != 1 {
+		t.Fatalf("cluster_node_errors_total_s0p = %d, want 1", got)
+	}
+}
+
 func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig()
 	cfg.Metrics = reg
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
-	r := &fakeNode{name: "s0r1", failSeq: alwaysFail(errFlaky)}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	r := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 2, Study: 2}, "q", nil)
+	_, info, err := c.Read(nil, Key{Patient: 2, Study: 2}, "q", nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -121,8 +158,8 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("underlying cause lost from chain: %v", err)
 	}
-	if info.Attempts != cfg.MaxAttempts {
-		t.Fatalf("attempts = %d, want %d", info.Attempts, cfg.MaxAttempts)
+	if info.Attempts != cfg.Retry.MaxAttempts {
+		t.Fatalf("attempts = %d, want %d", info.Attempts, cfg.Retry.MaxAttempts)
 	}
 	if got := reg.Counter("cluster_shard_unavailable_total").Value(); got != 1 {
 		t.Fatalf("cluster_shard_unavailable_total = %d, want 1", got)
@@ -130,13 +167,13 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 }
 
 func TestReadTerminalErrorNoFailover(t *testing.T) {
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errSemantic)}
-	r := &fakeNode{name: "s0r1", resp: []byte("never")}
-	c, err := New(testConfig(), [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errSemantic)}
+	r := &fakeNode{resp: []byte("never")}
+	c, err := New(testConfig(), [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 3, Study: 3}, "q", nil)
+	_, info, err := c.Read(nil, Key{Patient: 3, Study: 3}, "q", nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -154,15 +191,15 @@ func TestReadTerminalErrorNoFailover(t *testing.T) {
 func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	cfg := testConfig()
 	cfg.Breaker = BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}
-	p := &fakeNode{name: "s0p", failSeq: alwaysFail(errFlaky)}
-	r := &fakeNode{name: "s0r1", resp: []byte("ok")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{failSeq: alwaysFail(errFlaky)}
+	r := &fakeNode{resp: []byte("ok")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two reads trip the primary's breaker (one failure each).
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.Read(nil, Key{Patient: 1, Study: i}, "q", nil); err != nil {
+		if _, _, err := c.Read(nil, Key{Patient: 1, Study: i}, "q", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +209,7 @@ func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	dialed := p.calls
 	// Subsequent reads go straight to the replica without dialing the
 	// dead primary.
-	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 9}, "q", nil); err != nil {
+	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 9}, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	} else if info.Node != "s0r1" || info.Attempts != 1 {
 		t.Fatalf("info = %+v", info)
@@ -186,13 +223,13 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	cfg := testConfig()
 	cfg.Breaker = BreakerConfig{FailureThreshold: 1, Cooldown: 5 * time.Millisecond}
 	// Primary fails twice then recovers.
-	p := &fakeNode{name: "s0p", resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
-	r := &fakeNode{name: "s0r1", resp: []byte("ok")}
-	c, err := New(cfg, [][]Node{{p, r}})
+	p := &fakeNode{resp: []byte("ok"), failSeq: []error{errFlaky, errFlaky}}
+	r := &fakeNode{resp: []byte("ok")}
+	c, err := New(cfg, [][]transport.Transport{{p, r}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil); err != nil {
+	if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.NodeState(0, 0); got != BreakerOpen {
@@ -203,7 +240,7 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	// its failSeq is exhausted, closing the breaker.
 	var served string
 	for i := 0; i < 30 && served != "s0p"; i++ {
-		_, info, err := c.Read(nil, Key{Patient: 1, Study: 100 + i}, "q", nil)
+		_, info, err := c.Read(nil, Key{Patient: 1, Study: 100 + i}, "q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,20 +259,20 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 	cfg := testConfig()
 	cfg.Metrics = reg
 	cfg.HedgeAfter = 10 * time.Millisecond
-	slow := &fakeNode{name: "s0p", resp: []byte("rows"), lat: 50 * time.Millisecond}
-	fast := &fakeNode{name: "s0r1", resp: []byte("rows")}
-	c, err := New(cfg, [][]Node{{slow, fast}})
+	slow := &fakeNode{resp: []byte("rows"), lat: 50 * time.Millisecond}
+	fast := &fakeNode{resp: []byte("rows")}
+	c, err := New(cfg, [][]transport.Transport{{slow, fast}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// First read seeds the slow node's EWMA above the hedge threshold;
 	// the second read hedges and the replica wins the latency race.
-	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil); err != nil {
+	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil); err != nil {
 		t.Fatal(err)
 	} else if info.Hedged {
 		t.Fatalf("hedged before EWMA had data: %+v", info)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 1, Study: 2}, "q", nil)
+	_, info, err := c.Read(nil, Key{Patient: 1, Study: 2}, "q", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,18 +293,16 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 func TestReadBackoffDeterministic(t *testing.T) {
 	run := func() (ReadInfo, time.Duration) {
 		cfg := testConfig()
-		cfg.JitterSeed = 42
-		cfg.Backoff = func(attempt int, rng *faultsim.Rand) time.Duration {
-			base := time.Duration(1<<uint(attempt-1)) * 10 * time.Millisecond
-			return base/2 + time.Duration(rng.Float64()*float64(base/2))
-		}
-		p := &fakeNode{name: "s0p", failSeq: []error{errFlaky, errFlaky}}
-		r := &fakeNode{name: "s0r1", failSeq: []error{errFlaky}, resp: []byte("ok")}
-		c, err := New(cfg, [][]Node{{p, r}})
+		cfg.Retry.Seed = 42
+		cfg.Retry.BaseBackoff = 10 * time.Millisecond
+		cfg.Retry.MaxBackoff = time.Second
+		p := &fakeNode{failSeq: []error{errFlaky, errFlaky}}
+		r := &fakeNode{failSeq: []error{errFlaky}, resp: []byte("ok")}
+		c, err := New(cfg, [][]transport.Transport{{p, r}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, info, err := c.Read(nil, Key{Patient: 5, Study: 5}, "q", nil)
+		_, info, err := c.Read(nil, Key{Patient: 5, Study: 5}, "q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,17 +325,17 @@ func TestNewRejectsBadTopology(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Fatal("New accepted zero shards")
 	}
-	if _, err := New(Config{}, [][]Node{{}}); err == nil {
+	if _, err := New(Config{}, [][]transport.Transport{{}}); err == nil {
 		t.Fatal("New accepted empty shard")
 	}
 }
 
 func TestReadShardOutOfRange(t *testing.T) {
-	c, err := New(testConfig(), [][]Node{{&fakeNode{name: "s0p"}}})
+	c, err := New(testConfig(), [][]transport.Transport{{&fakeNode{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadShard(nil, 7, Key{}, "q", nil); err == nil {
+	if _, _, err := c.ReadShard(nil, 7, Key{}, "q", nil, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }

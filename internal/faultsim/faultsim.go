@@ -1,6 +1,7 @@
 // Package faultsim provides deterministic, seeded fault injection for
 // the simulated QBISM deployment: the RPC link between the DX front end
-// and the MedicalServer (netsim) and the long-field disk device (lfm).
+// and the MedicalServer (transport.Sim) and the long-field disk device
+// (lfm).
 //
 // A Policy describes what can go wrong and how often — per-call and
 // per-page probabilities, or an explicit schedule pinning a fault to the
@@ -145,7 +146,7 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Injector draws faults from a Policy. It is not safe for concurrent
-// use; consumers that may be called concurrently (netsim.Link) must
+// use; consumers that may be called concurrently (transport.Sim) must
 // serialize access. A nil *Injector is valid and injects nothing.
 type Injector struct {
 	policy Policy

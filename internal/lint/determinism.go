@@ -8,27 +8,26 @@ import (
 )
 
 // DeterminismAnalyzer enforces replayability in the simulation
-// packages (faultsim, netsim, the sharded read path in cluster, and the
-// parallel scheduler in package qbism) and byte-stability in the codec
-// packages (rencode, bitio): no wall-clock reads (time.Now, time.Since,
-// time.After, ...),
-// no process-seeded randomness (top-level math/rand functions or
+// packages (faultsim, the sharded read path in cluster, the parallel
+// scheduler in package qbism, and transport, home of the simulated
+// link) and byte-stability in the codec packages (rencode, bitio): no
+// wall-clock reads (time.Now, time.Since, time.After, ...), no
+// process-seeded randomness (top-level math/rand functions or
 // rand.New(rand.NewSource(time.Now...))), and no output assembled in
 // map-iteration order. The simulation packages replay chaos runs
 // byte-for-byte from a seed and a simulated clock; the codec packages
 // must emit canonical bytes (the cluster digest-compares encoded
 // REGIONs across replicas, and the planner's representation pick hashes
 // encoded sizes). Any of these calls silently breaks replay or
-// canonical form. Introduced as a convention in PR 1/2; extended to the
-// codecs with the k³-tree work in PR 7, and to the transport seam in
-// PR 8 — whose local and sim flavors must replay like the link they
-// wrap, with the tcp flavor's real-socket clock reads funneled through
-// two explicitly //lint:ignore'd helpers (transport/clock.go).
+// canonical form. The transport seam's local and sim flavors must
+// replay from a seed too; the tcp flavor's real-socket clock reads are
+// funneled through two explicitly //lint:ignore'd helpers
+// (transport/clock.go).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock, process randomness, and map-order-dependent output in simulation and codec packages",
 	Match: func(pkg *Package) bool {
-		return pkg.Name == "faultsim" || pkg.Name == "netsim" ||
+		return pkg.Name == "faultsim" ||
 			pkg.Name == "cluster" || pkg.Name == "qbism" ||
 			pkg.Name == "rencode" || pkg.Name == "bitio" ||
 			pkg.Name == "transport"

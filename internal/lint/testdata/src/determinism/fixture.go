@@ -1,6 +1,6 @@
-// Fixture for the determinism analyzer; package name netsim puts it in
-// the analyzer's scope.
-package netsim
+// Fixture for the determinism analyzer; package name faultsim puts it
+// in the analyzer's scope.
+package faultsim
 
 import (
 	"fmt"

@@ -2,7 +2,7 @@
 // metrics for the whole query path (LFM → sdb → MedicalServer → DX).
 //
 // A Tracer produces per-query span trees — parse, plan, per-operator
-// execution, LFM page reads, netsim round-trips — with durations from a
+// execution, LFM page reads, RPC round trips — with durations from a
 // monotonic (or injected simulated) clock and counters attached as span
 // attributes: pages read, cache hits and misses, retries, injected
 // faults. A Registry aggregates process-wide counters and bounded

@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
 	"time"
 
 	"qbism/internal/cluster"
 	"qbism/internal/faultsim"
-	"qbism/internal/netsim"
 	"qbism/internal/rencode"
+	"qbism/internal/transport"
 )
 
 // chaosBaseConfig is a small, fast system for chaos runs. Checksums are
@@ -109,7 +108,7 @@ func TestChaosQueries(t *testing.T) {
 	cfg := chaosBaseConfig()
 	cfg.LinkFaults = chaosLinkPolicy(101)
 	cfg.DeviceFaults = chaosDevicePolicy(202)
-	cfg.Retry = DefaultRetryPolicy()
+	cfg.Retry = transport.DefaultRetryPolicy()
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestChaosQueries(t *testing.T) {
 		spec := pool[pick.Intn(len(pool))]
 		res, err := sys.RunQuery(spec)
 		if err != nil {
-			if !RetryableError(err) {
+			if !transport.RetryableError(err) {
 				t.Fatalf("query %d (%s): fatal-classified error escaped: %v", i, spec.Label(), err)
 			}
 			continue
@@ -172,7 +171,7 @@ func TestChaosDeterminism(t *testing.T) {
 		cfg := chaosBaseConfig()
 		cfg.LinkFaults = chaosLinkPolicy(7)
 		cfg.DeviceFaults = chaosDevicePolicy(8)
-		cfg.Retry = DefaultRetryPolicy()
+		cfg.Retry = transport.DefaultRetryPolicy()
 		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -282,7 +281,7 @@ func TestDegradedBandRecompute(t *testing.T) {
 func TestRetryExhaustionIsTyped(t *testing.T) {
 	cfg := chaosBaseConfig()
 	cfg.LinkFaults = &faultsim.Policy{DropProb: 1.0}
-	cfg.Retry = RetryPolicy{MaxAttempts: 3}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 3}
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +291,10 @@ func TestRetryExhaustionIsTyped(t *testing.T) {
 	if qerr == nil {
 		t.Fatal("query succeeded across a dead link")
 	}
-	if !errors.Is(qerr, netsim.ErrDropped) {
+	if !errors.Is(qerr, transport.ErrDropped) {
 		t.Errorf("not a drop error: %v", qerr)
 	}
-	if !RetryableError(qerr) {
+	if !transport.RetryableError(qerr) {
 		t.Errorf("exhaustion error lost its retryable classification: %v", qerr)
 	}
 	if got := sys.Link.Stats().Retries; got != 2 {
@@ -321,7 +320,7 @@ func clusterChaosConfig() ClusterConfig {
 		Shards:   2,
 		Replicas: 1,
 		Base:     base,
-		Retry:    RetryPolicy{MaxAttempts: 4, Seed: 9},
+		Retry:    transport.RetryPolicy{MaxAttempts: 4, Seed: 9},
 	}
 }
 
@@ -479,7 +478,7 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 func TestClusterDeadShardPartial(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	// Pick the victim from the routing alone (stable across runs).
 	part := cluster.NewPartitioner(cfg.Shards)
 	victim := part.Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
@@ -507,7 +506,7 @@ func TestClusterDeadShardPartial(t *testing.T) {
 			if !errors.Is(item.Err, cluster.ErrShardUnavailable) {
 				t.Fatalf("item %d: error not typed ErrShardUnavailable: %v", i, item.Err)
 			}
-			if !errors.Is(item.Err, netsim.ErrDropped) {
+			if !errors.Is(item.Err, transport.ErrDropped) {
 				t.Errorf("item %d: underlying drop lost from chain: %v", i, item.Err)
 			}
 			continue
@@ -723,7 +722,7 @@ func TestClusterConsistentBandRegionPartial(t *testing.T) {
 	b := control.BandRegions[studies[0]][0]
 
 	cfg := clusterChaosConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: studies[0], Study: studies[0]})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {
@@ -851,7 +850,7 @@ func TestClusterChaosDeterminism(t *testing.T) {
 func TestClusterScatterGatherRace(t *testing.T) {
 	control, want := clusterControl(t)
 	cfg := clusterChaosConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, Seed: 9}
+	cfg.Retry = transport.RetryPolicy{MaxAttempts: 2, Seed: 9}
 	victim := cluster.NewPartitioner(cfg.Shards).Shard(cluster.Key{Patient: control.Studies[0].PatientID, Study: control.Studies[0].StudyID})
 	cfg.NodeFaults = func(shard, replica int) (link, device *faultsim.Policy) {
 		if shard == victim {

@@ -5,27 +5,44 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"qbism/internal/transport"
 )
 
 // The frame codec itself (round trip, bit-flip and truncation
 // detection, length-bomb rejection, fuzzing) is tested where it lives:
-// internal/transport. This delegation smoke test pins the re-export —
-// qbism's wire bytes and error sentinels are transport's.
+// internal/transport. This smoke test pins the wire helpers to it —
+// qbism's request and response bytes are transport frames, and a
+// damaged reply fails with transport's typed sentinels.
 func TestFrameDelegatesToTransport(t *testing.T) {
-	f := encodeFrame([]byte(`{"n":32}`), []byte("voxels"))
-	h, b, err := decodeFrame(f)
+	req, err := EncodeQueryRequest(QuerySpec{StudyID: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(h, []byte(`{"n":32}`)) || !bytes.Equal(b, []byte("voxels")) {
+	h, b, err := transport.DecodeFrame(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(h, []byte(`"studyId":32`)) || len(b) != 0 {
+		t.Errorf("request frame = %q / %q, want the spec JSON and no body", h, b)
+	}
+	f, err := transport.EncodeFrame([]byte(`{"lfmPages":32}`), []byte("voxels"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, blob, err := DecodeQueryResponse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.LFMPages != 32 || !bytes.Equal(blob, []byte("voxels")) {
 		t.Error("round trip mismatch through the transport codec")
 	}
 	f[len(f)-1] ^= 1
-	if _, _, err := decodeFrame(f); !errors.Is(err, ErrFrameCorrupt) {
-		t.Errorf("corrupt frame: %v, want the re-exported ErrFrameCorrupt", err)
+	if _, _, err := DecodeQueryResponse(f); !errors.Is(err, transport.ErrFrameCorrupt) {
+		t.Errorf("corrupt frame: %v, want transport.ErrFrameCorrupt", err)
 	}
-	if _, _, err := decodeFrame(f[:3]); !errors.Is(err, ErrFrameTruncated) {
-		t.Errorf("truncated frame: %v, want the re-exported ErrFrameTruncated", err)
+	if _, _, err := DecodeQueryResponse(f[:3]); !errors.Is(err, transport.ErrFrameTruncated) {
+		t.Errorf("truncated frame: %v, want transport.ErrFrameTruncated", err)
 	}
 }
 

@@ -128,7 +128,7 @@ func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeFrame(specJSON, nil), nil
+	return transport.EncodeFrame(specJSON, nil)
 }
 
 // DecodeQueryResponse splits a QueryMethod response into its meta
@@ -138,17 +138,10 @@ func DecodeQueryResponse(resp []byte) (*QueryMeta, []byte, error) {
 	return splitResponse(resp)
 }
 
-// registerMedicalServer installs the MedicalServer RPC handler on the
-// simulated link. The same handler body backs ServeRPC, so the daemon
-// and the local transport dispatch into identical server code.
-func (s *System) registerMedicalServer() {
-	s.Link.RegisterSpan(medicalQueryMethod, s.handleMedicalQuery)
-}
-
 // ServeRPC is the System's transport.Handler: it dispatches a framed
 // RPC by method name. This is the server side of the transport seam —
 // qbismd serves it over TCP, transport.Local dispatches into it
-// directly, and the simulated link registers the same handler body.
+// directly, and the simulated link (System.Link) wraps it.
 // Unknown methods fail with transport.ErrUnknownMethod (typed,
 // terminal), so a version-skewed client gets a classifiable refusal
 // instead of a hang.
@@ -167,7 +160,7 @@ func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 // the way in means a request corrupted in flight fails with a typed,
 // retryable error instead of executing a different query.
 func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
-	specJSON, _, err := decodeFrame(request)
+	specJSON, _, err := transport.DecodeFrame(request)
 	if err != nil {
 		return nil, fmt.Errorf("qbism: request: %w", err)
 	}
@@ -225,7 +218,7 @@ func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return encodeFrame(header, blob), nil
+	return transport.EncodeFrame(header, blob)
 }
 
 // querySingle streams a generated SELECT through the iterator API and

@@ -14,8 +14,8 @@ import (
 // intersection and batches of independent query specs — fan out per
 // study over a bounded worker pool. The whole query stack below here is
 // safe for concurrent readers: the LFM serializes I/O (and its fault
-// injector) under its mutex, netsim.Link and dx.Cache carry their own
-// locks, and the SQL SELECT path is read-only. Results are collected by
+// injector) under its mutex, the simulated link and dx.Cache carry
+// their own locks, and the SQL SELECT path is read-only. Results are collected by
 // input position, so ordering is deterministic regardless of worker
 // interleaving; each worker runs the same retrying RunQuery path, so
 // PR 1's fault-resilience guarantees carry over unchanged.
@@ -60,17 +60,26 @@ func (s *System) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, 
 	batch.SetInt("workers", int64(workers))
 	defer batch.End()
 	out := make([]BatchItem, len(specs))
-	for i, spec := range specs {
-		out[i].Spec = spec
+	forEach(len(specs), workers, func(i int) {
+		res, err := s.runQuerySpan(batch, specs[i])
+		out[i] = BatchItem{Spec: specs[i], Res: res, Err: err}
+	})
+	return out, batch
+}
+
+// forEach calls fn(i) for every i in [0, n) over a pool of at most
+// workers goroutines, returning once all calls have. With one worker
+// (or one item) it runs serially on the calling goroutine. fn must
+// write only to slot i of any shared output.
+func forEach(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
-	if workers <= 1 || len(specs) <= 1 {
-		for i, spec := range specs {
-			out[i].Res, out[i].Err = s.runQuerySpan(batch, spec)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out, batch
-	}
-	if workers > len(specs) {
-		workers = len(specs)
+		return
 	}
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -79,16 +88,15 @@ func (s *System) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, 
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				out[i].Res, out[i].Err = s.runQuerySpan(batch, out[i].Spec)
+				fn(i)
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	return out, batch
 }
 
 // BatchSim prices a completed batch with the cost model's simulated
@@ -140,36 +148,11 @@ func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encodin
 	if workers <= 0 {
 		workers = s.Cfg.Workers
 	}
-	if workers > len(studies) {
-		workers = len(studies)
-	}
 	regions := make([]*region.Region, len(studies))
 	errs := make([]error, len(studies))
-	fetch := func(i int) {
+	forEach(len(studies), workers, func(i int) {
 		regions[i], errs[i] = s.fetchBandRegion(studies[i], bandLo, bandHi, encoding)
-	}
-	if workers <= 1 {
-		for i := range studies {
-			fetch(i)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					fetch(i)
-				}
-			}()
-		}
-		for i := range studies {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("qbism: study %d band [%d,%d] %s: %w",

@@ -9,6 +9,7 @@ package qbism
 
 import (
 	"fmt"
+	"sort"
 
 	"qbism/internal/feature"
 	"qbism/internal/mining"
@@ -37,13 +38,26 @@ type ActivityEntry struct {
 // BuildActivityIndex indexes the bounding boxes of all band REGIONs
 // with intensity lower bound >= minIntensity across every study.
 func (s *System) BuildActivityIndex(minIntensity uint8) (*ActivityIndex, error) {
+	return buildActivityIndex(s.BandRegions, minIntensity)
+}
+
+// buildActivityIndex indexes bands (study ID -> band REGIONs). Studies
+// are visited in ascending ID order, so entry IDs and the R-tree's
+// shape — and with them StudiesNear's answer order and SearchStats —
+// are the same on every build.
+func buildActivityIndex(bands map[int][]volume.BandSpec, minIntensity uint8) (*ActivityIndex, error) {
 	idx := &ActivityIndex{
 		tree:    spindex.New(),
 		entries: make(map[int64]ActivityEntry),
 	}
+	ids := make([]int, 0, len(bands))
+	for studyID := range bands {
+		ids = append(ids, studyID)
+	}
+	sort.Ints(ids)
 	next := int64(1)
-	for studyID, bands := range s.BandRegions {
-		for _, b := range bands {
+	for _, studyID := range ids {
+		for _, b := range bands[studyID] {
 			if b.Lo < minIntensity || b.Region.Empty() {
 				continue
 			}

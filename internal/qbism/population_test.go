@@ -1,11 +1,13 @@
 package qbism
 
 import (
+	"reflect"
 	"testing"
 
 	"qbism/internal/feature"
 	"qbism/internal/region"
 	"qbism/internal/sfc"
+	"qbism/internal/spindex"
 )
 
 func TestFileBackedSystem(t *testing.T) {
@@ -27,6 +29,46 @@ func TestFileBackedSystem(t *testing.T) {
 	}
 	if _, err := New(Config{Bits: 4, SmallStudies: true, DevicePath: "/no/such/dir/x.dev"}); err == nil {
 		t.Error("bad device path accepted")
+	}
+}
+
+// TestBuildActivityIndexDeterministic: rebuilding the index over the
+// same system must give the same R-tree, so every probe returns the
+// same entries in the same order with the same search work.
+func TestBuildActivityIndexDeterministic(t *testing.T) {
+	s := testSystem(t)
+	side := uint32(s.Side())
+	h := side / 2
+	var probes []region.Box
+	for _, lo := range []sfc.Point{sfc.Pt(0, 0, 0), sfc.Pt(h, 0, 0), sfc.Pt(0, h, h), sfc.Pt(h, h, h)} {
+		probes = append(probes, region.Box{Min: lo, Max: sfc.Pt(lo.X+h-1, lo.Y+h-1, lo.Z+h-1)})
+	}
+	probes = append(probes, region.Box{Min: sfc.Pt(side/4, side/4, side/4), Max: sfc.Pt(side/2, side/2, side/2)})
+	type outcome struct {
+		Hits  []ActivityEntry
+		Stats spindex.SearchStats
+	}
+	build := func() []outcome {
+		idx, err := s.BuildActivityIndex(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []outcome
+		for _, q := range probes {
+			hits, st := idx.StudiesNear(q)
+			out = append(out, outcome{hits, st})
+		}
+		return out
+	}
+	first := build()
+	for i := 1; i < 10; i++ {
+		got := build()
+		for p := range probes {
+			if !reflect.DeepEqual(got[p], first[p]) {
+				t.Fatalf("build %d, probe %v: %d hits, %+v; build 0 gave %d hits, %+v",
+					i, probes[p], len(got[p].Hits), got[p].Stats, len(first[p].Hits), first[p].Stats)
+			}
+		}
 	}
 }
 

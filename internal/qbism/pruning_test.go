@@ -6,6 +6,7 @@ import (
 
 	"qbism/internal/region"
 	"qbism/internal/rencode"
+	"qbism/internal/transport"
 )
 
 // The run-pruned read path (gap-coalesced extraction, the LFM page
@@ -92,7 +93,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 	cfg.CachePages = 32
 	cfg.LinkFaults = chaosLinkPolicy(301)
 	cfg.DeviceFaults = chaosDevicePolicy(302)
-	cfg.Retry = DefaultRetryPolicy()
+	cfg.Retry = transport.DefaultRetryPolicy()
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +106,7 @@ func TestPrunedReadPathUnderFaults(t *testing.T) {
 			total++
 			res, err := sys.RunQuery(spec)
 			if err != nil {
-				if !RetryableError(err) {
+				if !transport.RetryableError(err) {
 					t.Fatalf("%s: fatal-classified error escaped: %v", spec.Label(), err)
 				}
 				continue

@@ -49,7 +49,7 @@ type QueryResult struct {
 	Timing QueryTiming
 	// Retry reports the query's resilience history: attempts, retries,
 	// and total simulated backoff.
-	Retry RetryStats
+	Retry transport.RetryStats
 	// Shard, set only for queries served through a ClusterSystem,
 	// reports which shard and node answered and what failover work the
 	// cluster did on the way.
@@ -115,12 +115,11 @@ func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 	}
 	root.SetStr("spec", spec.Label())
 
-	specJSON, err := json.Marshal(spec)
+	request, err := EncodeQueryRequest(spec)
 	if err != nil {
 		root.End()
 		return nil, err
 	}
-	request := encodeFrame(specJSON, nil)
 
 	// The exchange rides the transport seam: CallRetry carries the
 	// capped-exponential, deterministically jittered schedule whatever
@@ -152,7 +151,7 @@ func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, e
 // prices the work with the cost model, and feeds the observability
 // sinks. netMessages/netSim describe the network exchange however it
 // was carried (single link or cluster read).
-func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob []byte, retry RetryStats, netMessages uint64, netSim time.Duration, totalStart time.Time) (*QueryResult, error) {
+func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob []byte, retry transport.RetryStats, netMessages uint64, netSim time.Duration, totalStart time.Time) (*QueryResult, error) {
 	importStart := time.Now()
 	importSp := root.Child("dx.import")
 	data, err := UnmarshalDataRegion(blob)
@@ -216,7 +215,7 @@ func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob 
 
 // fail finishes a query's observability on the error path: the root
 // span is annotated and ended, and the error counters bump.
-func (fe frontEnd) fail(root *obs.Span, retry RetryStats, err error) error {
+func (fe frontEnd) fail(root *obs.Span, retry transport.RetryStats, err error) error {
 	root.SetStr("error", err.Error())
 	root.SetInt("attempts", int64(retry.Attempts))
 	root.SetInt("retries", int64(retry.Retries))
@@ -230,7 +229,7 @@ func (fe frontEnd) fail(root *obs.Span, retry RetryStats, err error) error {
 // observe feeds the metrics registry and, when the query's measured
 // latency reaches the slow-log threshold, captures the full span tree
 // plus the executed plan into the slow-query ring.
-func (fe frontEnd) observe(spec QuerySpec, t QueryTiming, retry RetryStats, root *obs.Span) {
+func (fe frontEnd) observe(spec QuerySpec, t QueryTiming, retry transport.RetryStats, root *obs.Span) {
 	fe.metrics.Counter("qbism_queries_total").Inc()
 	fe.metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
 	fe.metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).
@@ -342,10 +341,10 @@ func (s *System) ExplainSpec(spec QuerySpec, analyze bool) ([]string, error) {
 
 // splitResponse validates the response frame and separates the JSON
 // meta header from the DataRegion blob. Truncated or corrupted frames
-// fail with ErrFrameTruncated/ErrFrameCorrupt — typed, retryable — so
-// a damaged reply is never mis-parsed as data.
+// fail with transport.ErrFrameTruncated/ErrFrameCorrupt — typed,
+// retryable — so a damaged reply is never mis-parsed as data.
 func splitResponse(resp []byte) (*QueryMeta, []byte, error) {
-	header, blob, err := decodeFrame(resp)
+	header, blob, err := transport.DecodeFrame(resp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("qbism: response: %w", err)
 	}

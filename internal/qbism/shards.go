@@ -2,11 +2,11 @@ package qbism
 
 // Sharded execution: the study corpus partitioned across K shards,
 // each a (primary, replica...) set of full QBISM nodes — its own LFM
-// device, database, and netsim link — behind the cluster package's
-// Node seam. The front end (DX cache, cost model, observability) is
-// shared with the single-node System via frontEnd, so a query finishes
-// identically whether it was fetched over one link or scatter-gathered
-// across a degraded cluster.
+// device, database, and simulated link — each reached by the cluster
+// through a transport.Transport. The front end (DX cache, cost model,
+// observability) is shared with the single-node System via frontEnd,
+// so a query finishes identically whether it was fetched over one link
+// or scatter-gathered across a degraded cluster.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -16,11 +16,8 @@ package qbism
 // exact equality against an unsharded control system.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"qbism/internal/cluster"
@@ -29,9 +26,9 @@ import (
 	"qbism/internal/faultsim"
 	"qbism/internal/obs"
 	"qbism/internal/region"
-	"qbism/internal/spindex"
 	"qbism/internal/synth"
 	"qbism/internal/transport"
+	"qbism/internal/volume"
 )
 
 // ClusterConfig parameterizes a ClusterSystem.
@@ -61,9 +58,8 @@ type ClusterConfig struct {
 	Breaker cluster.BreakerConfig
 	// Retry governs cross-node failover retries: MaxAttempts bounds the
 	// node calls per read and Backoff/Seed drive the deterministic
-	// jittered waits — the exact schedule PR 1 established for
-	// single-link retries, reused at the cluster seam.
-	Retry RetryPolicy
+	// jittered waits — the same schedule single-link retries use.
+	Retry transport.RetryPolicy
 	// HedgeAfter enables hedged reads once a node's simulated-latency
 	// EWMA reaches it (zero disables).
 	HedgeAfter time.Duration
@@ -109,21 +105,19 @@ type ClusterSystem struct {
 	SlowLog *obs.SlowLog
 
 	routes map[int]cluster.Key // studyID -> routing key
-	// tnodes flattens every transportNode handed to the cluster, so
-	// Close can release dialed transports the cluster layer holds.
-	tnodes []*transportNode
+	// dialed holds the transports Cfg.NodeDial built, so Close can
+	// release them (a node's default transport closes with its System).
+	dialed []transport.Transport
 }
 
 // Close releases every node the cluster built: each replica's dialed
 // transport and each node System (its own transport and long-field
-// manager). All underlying closes are idempotent, so the overlap
-// between a node's transport and its System is harmless. Close also
-// works on a partially constructed cluster, which is how
-// NewClusterSystem unwinds its error paths.
+// manager). Close also works on a partially constructed cluster, which
+// is how NewClusterSystem unwinds its error paths.
 func (cs *ClusterSystem) Close() error {
 	var first error
-	for _, n := range cs.tnodes {
-		if err := n.Close(); err != nil && first == nil {
+	for _, t := range cs.dialed {
+		if err := t.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -161,10 +155,9 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 		cs.Studies = append(cs.Studies, info)
 	}
 
-	pol := cfg.Retry.WithDefaults()
-	var shardNodes [][]cluster.Node
+	var shardNodes [][]transport.Transport
 	for sh := 0; sh < cfg.Shards; sh++ {
-		var nodes []cluster.Node
+		var nodes []transport.Transport
 		for r := 0; r <= cfg.Replicas; r++ {
 			nodeCfg := base
 			// The shard's subset — always non-nil, so an empty shard
@@ -172,7 +165,7 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 			nodeCfg.OnlyStudies = append([]int{}, perShard[sh]...)
 			// The cluster owns retries and failover; each node link
 			// answers exactly once per dial.
-			nodeCfg.Retry = RetryPolicy{MaxAttempts: 1}
+			nodeCfg.Retry = transport.RetryPolicy{MaxAttempts: 1}
 			// Node-level tracing is off: spans hang off the front end's
 			// tracer through the parent span threaded into each call.
 			nodeCfg.Trace = false
@@ -192,10 +185,9 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 					cs.Close()
 					return nil, fmt.Errorf("qbism: dialing node s%dr%d: %w", sh, r, err)
 				}
+				cs.dialed = append(cs.dialed, tr)
 			}
-			tn := &transportNode{name: nodeName(sh, r), t: tr}
-			cs.tnodes = append(cs.tnodes, tn)
-			nodes = append(nodes, tn)
+			nodes = append(nodes, tr)
 		}
 		shardNodes = append(shardNodes, nodes)
 	}
@@ -211,13 +203,10 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 	}
 
 	cl, err := cluster.New(cluster.Config{
-		Breaker:     cfg.Breaker,
-		MaxAttempts: pol.MaxAttempts,
-		Backoff:     pol.Backoff,
-		JitterSeed:  pol.Seed,
-		Retryable:   RetryableError,
-		HedgeAfter:  cfg.HedgeAfter,
-		Metrics:     cs.Metrics,
+		Breaker:    cfg.Breaker,
+		Retry:      cfg.Retry.WithDefaults(),
+		HedgeAfter: cfg.HedgeAfter,
+		Metrics:    cs.Metrics,
 	}, shardNodes)
 	if err != nil {
 		cs.Close()
@@ -232,14 +221,6 @@ func (cs *ClusterSystem) addNode(shard int, sys *System) {
 		cs.Nodes = append(cs.Nodes, nil)
 	}
 	cs.Nodes[shard] = append(cs.Nodes[shard], sys)
-}
-
-// nodeName follows the s<shard>p / s<shard>r<i> convention.
-func nodeName(shard, replica int) string {
-	if replica == 0 {
-		return fmt.Sprintf("s%dp", shard)
-	}
-	return fmt.Sprintf("s%dr%d", shard, replica)
 }
 
 // modalityFor mirrors loadStudies' modality assignment.
@@ -270,51 +251,6 @@ func (cs *ClusterSystem) fe() frontEnd {
 	}
 }
 
-// transportNode adapts one node's Transport to the cluster.Node seam:
-// the cluster no longer knows whether a node is a simulated link or a
-// live daemon — it consumes the seam's Stats.Latency deltas either
-// way. Each call is serialized per node so the stats delta pricing the
-// call's latency is exact; different nodes still serve concurrently.
-// (For the default sim transport the delta is numerically identical to
-// what the pre-seam linkNode computed by hand from link stats.)
-type transportNode struct {
-	name string
-	t    transport.Transport
-	mu   sync.Mutex
-}
-
-func (n *transportNode) Name() string { return n.name }
-
-// Close releases the node's transport. The sim flavors make this a
-// no-op; a dialed TCP transport drops its socket.
-func (n *transportNode) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.t == nil {
-		return nil
-	}
-	return n.t.Close()
-}
-
-// Call dials the node's transport once and validates the response
-// frame, so a reply corrupted in flight surfaces here as a typed
-// retryable error — failover fodder — rather than downstream in the
-// DX import.
-func (n *transportNode) Call(parent *obs.Span, method string, request []byte) ([]byte, time.Duration, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	net0 := n.t.Stats()
-	resp, err := n.t.Call(parent, method, request)
-	lat := n.t.Stats().Sub(net0).Latency
-	if err != nil {
-		return nil, lat, err
-	}
-	if _, _, err := splitResponse(resp); err != nil {
-		return nil, lat, err
-	}
-	return resp, lat, nil
-}
-
 // RunQuery executes one query end to end through the cluster: route by
 // (patient, study) key, read with failover/hedging, then finish through
 // the shared front end. The result's Shard field reports how the read
@@ -338,25 +274,28 @@ func (cs *ClusterSystem) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryR
 	key, ok := cs.routes[spec.StudyID]
 	if !ok {
 		// Unroutable: terminal, not a shard health problem.
-		return nil, cs.fe().fail(root, RetryStats{Attempts: 1},
+		return nil, cs.fe().fail(root, transport.RetryStats{Attempts: 1},
 			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID))
 	}
-	specJSON, err := json.Marshal(spec)
+	request, err := EncodeQueryRequest(spec)
 	if err != nil {
-		return nil, cs.fe().fail(root, RetryStats{}, err)
+		return nil, cs.fe().fail(root, transport.RetryStats{}, err)
 	}
-	request := encodeFrame(specJSON, nil)
 
-	resp, info, err := cs.Cluster.Read(root, key, medicalQueryMethod, request)
-	retry := RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}
+	// Validation runs inside the read, so a reply corrupted in flight
+	// fails over to another node like a failed call.
+	resp, info, err := cs.Cluster.Read(root, key, medicalQueryMethod, request, func(resp []byte) error {
+		_, _, err := splitResponse(resp)
+		return err
+	})
+	retry := transport.RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}
 	if err != nil {
 		retry.LastError = err.Error()
 		return nil, cs.fe().fail(root, retry, fmt.Errorf("qbism: query failed: %w", err))
 	}
 	meta, blob, err := splitResponse(resp)
 	if err != nil {
-		// Unreachable in practice: the winning node already validated
-		// the frame. Kept for defense in depth.
+		// Unreachable: the read already validated the winning reply.
 		return nil, cs.fe().fail(root, retry, err)
 	}
 	// One successful exchange = 2 messages; the read's simulated
@@ -395,37 +334,10 @@ func (cs *ClusterSystem) RunQueriesTraced(specs []QuerySpec, workers int) ([]Bat
 	defer batch.End()
 
 	out := make([]BatchItem, len(specs))
-	for i, spec := range specs {
-		out[i].Spec = spec
-	}
-	run := func(i int) {
-		out[i].Res, out[i].Err = cs.runQuerySpan(batch, out[i].Spec)
-	}
-	if workers <= 1 || len(specs) <= 1 {
-		for i := range specs {
-			run(i)
-		}
-	} else {
-		if workers > len(specs) {
-			workers = len(specs)
-		}
-		work := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					run(i)
-				}
-			}()
-		}
-		for i := range specs {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	forEach(len(specs), workers, func(i int) {
+		res, err := cs.runQuerySpan(batch, specs[i])
+		out[i] = BatchItem{Spec: specs[i], Res: res, Err: err}
+	})
 
 	partial := cs.buildPartial(out)
 	if partial != nil {
@@ -495,48 +407,14 @@ func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int,
 
 // BuildActivityIndex builds the population activity index across every
 // shard's primary, merging the per-node band REGIONs (each node holds
-// only its shard of the corpus) into one R-tree. Studies are visited
-// in ascending ID order so R-tree construction is deterministic.
+// only its shard of the corpus) into one R-tree, built exactly as
+// System.BuildActivityIndex builds it.
 func (cs *ClusterSystem) BuildActivityIndex(minIntensity uint8) (*ActivityIndex, error) {
-	idx := &ActivityIndex{
-		tree:    spindex.New(),
-		entries: make(map[int64]ActivityEntry),
-	}
-	next := int64(1)
-	var ids []int
-	byStudy := make(map[int]*System)
+	bands := make(map[int][]volume.BandSpec)
 	for _, nodes := range cs.Nodes {
-		primary := nodes[0]
-		for studyID := range primary.BandRegions {
-			ids = append(ids, studyID)
-			byStudy[studyID] = primary
+		for studyID, b := range nodes[0].BandRegions {
+			bands[studyID] = b
 		}
 	}
-	sort.Ints(ids)
-	for _, studyID := range ids {
-		for _, b := range byStudy[studyID].BandRegions[studyID] {
-			if b.Lo < minIntensity || b.Region.Empty() {
-				continue
-			}
-			min, max, ok := b.Region.Bounds()
-			if !ok {
-				continue
-			}
-			id := next
-			next++
-			idx.entries[id] = ActivityEntry{
-				StudyID: studyID, BandLo: b.Lo, BandHi: b.Hi, Voxels: b.Region.NumVoxels(),
-			}
-			if err := idx.tree.Insert(spindex.Entry{
-				ID: id,
-				Box: spindex.Box3{
-					MinX: min.X, MinY: min.Y, MinZ: min.Z,
-					MaxX: max.X, MaxY: max.Y, MaxZ: max.Z,
-				},
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return idx, nil
+	return buildActivityIndex(bands, minIntensity)
 }

@@ -11,7 +11,6 @@ import (
 	"qbism/internal/dx"
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
-	"qbism/internal/netsim"
 	"qbism/internal/obs"
 	"qbism/internal/rencode"
 	"qbism/internal/sdb"
@@ -96,13 +95,12 @@ type Config struct {
 	// Installed after loading.
 	DeviceFaults *faultsim.Policy
 	// Retry governs client-side retries of transient query failures.
-	// The zero value means a single attempt; DefaultRetryPolicy() is a
-	// sensible production setting.
-	Retry RetryPolicy
+	// The zero value means a single attempt;
+	// transport.DefaultRetryPolicy() is a sensible production setting.
+	Retry transport.RetryPolicy
 	// Dial builds the System's client transport once loading finishes
 	// (the system passed in is fully built). Nil means the default: the
-	// simulated link behind the seam (transport.NewSim), which is the
-	// pre-seam behavior exactly. The loopback equivalence suite dials a
+	// simulated link, System.Link. The loopback equivalence suite dials a
 	// TCP transport here instead, pointing the system's own query path
 	// at a daemon serving the same system.
 	Dial func(*System) (transport.Transport, error)
@@ -188,16 +186,18 @@ type System struct {
 	ZCurve sfc.Curve // Z order, for encoding comparisons
 	LFM    *lfm.Manager
 	DB     *sdb.DB
-	Link   *netsim.Link
-	Model  costmodel.Model
-	Atlas  *atlas.Atlas
-	Cache  *dx.Cache
+	// Link is the simulated DX↔MedicalServer link around ServeRPC: it
+	// meters and prices every crossing and carries the link faults.
+	Link  *transport.Sim
+	Model costmodel.Model
+	Atlas *atlas.Atlas
+	Cache *dx.Cache
 
 	// Retry is the client-side retry policy for RunQuery (from Config).
-	Retry RetryPolicy
+	Retry transport.RetryPolicy
 	// Transport carries the DX↔MedicalServer exchanges (from
-	// Config.Dial; default: the simulated Link behind the seam). The
-	// query path prices network time from deltas of its Stats.
+	// Config.Dial; default: Link). The query path prices network time
+	// from deltas of its Stats.
 	Transport transport.Transport
 	// LinkFaults/DeviceFaults are the active fault injectors (nil when
 	// the corresponding policy is unset); their counters feed chaos
@@ -273,7 +273,6 @@ func New(cfg Config) (*System, error) {
 		LFM:         mgr,
 		Retry:       cfg.Retry,
 		DB:          sdb.NewDB(mgr),
-		Link:        netsim.NewLink(costmodel.Default1993()),
 		Model:       costmodel.Default1993(),
 		Cache:       dx.NewCache(8),
 		AtlasID:     1,
@@ -297,10 +296,9 @@ func New(cfg Config) (*System, error) {
 		s.Close()
 		return nil, err
 	}
-	s.registerMedicalServer()
+	s.Link = transport.NewSim(s.ServeRPC, s.Model)
 	// Loading traffic is not part of any measured query.
 	s.LFM.ResetStats()
-	s.Link.ResetStats()
 	// Observability attaches only now, for the same reason: metrics and
 	// spans describe query traffic, not the load pipeline.
 	s.Metrics = obs.NewRegistry()
@@ -328,8 +326,9 @@ func New(cfg Config) (*System, error) {
 		s.LFM.EnableCache(cfg.CachePages)
 	}
 	// The client transport dials last, against the fully built system:
-	// the default sim flavor wraps the link (and so sees the faults
-	// installed above), while a custom Dial may point at a live daemon.
+	// the default is the link itself (with the faults installed above),
+	// while a custom Dial may point at a live daemon.
+	s.Transport = s.Link
 	if cfg.Dial != nil {
 		tr, err := cfg.Dial(s)
 		if err != nil {
@@ -337,8 +336,6 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("qbism: dialing transport: %w", err)
 		}
 		s.Transport = tr
-	} else {
-		s.Transport = transport.NewSim(s.Link, s.Model)
 	}
 	return s, nil
 }

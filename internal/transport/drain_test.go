@@ -105,18 +105,52 @@ func TestDrainGraceful(t *testing.T) {
 	waitNoServerGoroutines(t)
 }
 
+// waitParked blocks until every connection the server holds is idle:
+// its serve loop has finished the post-call drain check and is back in
+// ReadFrame. busy is cleared in the same critical section as that
+// check, so observing busy == false under sc.mu means the check ran.
+// The connection list is copied first: serveConn takes sc.mu before
+// s.mu, so holding s.mu while locking a conn would invert that order.
+func waitParked(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		srv.mu.Lock()
+		conns := make([]*serverConn, 0, len(srv.conns))
+		for sc := range srv.conns {
+			conns = append(conns, sc)
+		}
+		srv.mu.Unlock()
+		parked := len(conns) > 0
+		for _, sc := range conns {
+			sc.mu.Lock()
+			parked = parked && !sc.busy && !sc.closed
+			sc.mu.Unlock()
+		}
+		if parked {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("server connection never parked back in ReadFrame")
+}
+
 // TestDrainRejectsNewCallsOnLiveConnections: a request that lands on a
 // still-open connection after the draining flag flips gets a typed
 // ErrDraining reply, counted in DrainRejected. In production this is a
 // race window (Drain closes idle connections almost immediately after
 // setting the flag); the test pins the window open by flipping the
-// flag directly instead of running the full Drain.
+// flag directly instead of running the full Drain. The flag flips only
+// once the connection is parked: flipped earlier, the serve loop's
+// post-call check would close the connection without reading the next
+// request (see DESIGN.md §14), and the client would see a reset.
 func TestDrainRejectsNewCallsOnLiveConnections(t *testing.T) {
 	srv := startServer(t, echoHandler, ServerConfig{})
 	c := dialServer(t, srv)
 	if _, err := c.Call(nil, "ping", nil); err != nil {
 		t.Fatal(err)
 	}
+	waitParked(t, srv)
 
 	srv.mu.Lock()
 	srv.draining = true

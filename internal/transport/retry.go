@@ -6,7 +6,6 @@ import (
 
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
-	"qbism/internal/netsim"
 	"qbism/internal/obs"
 )
 
@@ -94,9 +93,9 @@ type RetryStats struct {
 // are terminal.
 func RetryableError(err error) bool {
 	switch {
-	case errors.Is(err, netsim.ErrDropped),
-		errors.Is(err, netsim.ErrLinkTimeout),
-		errors.Is(err, netsim.ErrCorrupt),
+	case errors.Is(err, ErrDropped),
+		errors.Is(err, ErrLinkTimeout),
+		errors.Is(err, ErrCorrupt),
 		errors.Is(err, ErrFrameTruncated),
 		errors.Is(err, ErrFrameCorrupt),
 		errors.Is(err, ErrDial),

@@ -4,31 +4,32 @@
 // suites replay deterministically, and real TCP sockets — implements
 // the same small interface, so retry, backoff, and failover logic is
 // written once and applies identically to a simulated remote and a
-// live daemon.
+// live daemon. It is the only RPC abstraction: a System's client, each
+// cluster node, and a load generator's connection are all Transports.
 //
 // The three flavors:
 //
 //   - Local: direct handler dispatch, no network model. The degenerate
 //     case for tests and the server side of loopback equivalence
 //     checks.
-//   - Sim: the netsim.Link + faultsim stack behind the seam. Traffic is
-//     metered and priced with the 1993 cost model and faults replay
-//     byte-for-byte from a seed — exactly the pre-seam behavior, so the
-//     chaos and differential suites run unchanged.
+//   - Sim: the simulated link (sim.go). Traffic is metered and priced
+//     with the 1993 cost model and faults replay byte-for-byte from a
+//     seed, so the chaos and differential suites are deterministic.
 //   - TCP: real sockets speaking the CRC frame protocol (frame.go) to a
 //     qbismd daemon. The only flavor allowed to read the wall clock.
 //
 // Client-side resilience lives here too (retry.go): CallRetry wraps any
 // Transport with the capped-exponential, deterministically jittered
-// retry schedule PR 1 established, and RetryableError is the one
-// classification of transient-vs-terminal both the single-link client
-// and the cluster failover path consult.
+// retry schedule, and RetryPolicy plus RetryableError are the one retry
+// configuration and transient-vs-terminal classification both the
+// single-link client and the cluster failover path use.
 package transport
 
 import (
 	"errors"
 	"time"
 
+	"qbism/internal/faultsim"
 	"qbism/internal/obs"
 )
 
@@ -65,16 +66,16 @@ var (
 type Handler func(sp *obs.Span, method string, request []byte) ([]byte, error)
 
 // Stats is a transport's cumulative traffic accounting. Deltas around
-// a call price that call, the way netsim link-stats deltas did before
-// the seam existed.
+// a call price that call.
 type Stats struct {
-	// Calls counts payload crossings initiated (one per Call).
+	// Calls counts calls initiated (one per Call).
 	Calls uint64
 	// Errors counts calls that returned an error.
 	Errors uint64
 	// Messages counts cost-model messages for the traffic carried
-	// (request + response). The sim flavor takes these from the
-	// underlying link's meter; local and tcp count one per direction.
+	// (request + response). The sim flavor prices each payload
+	// crossing with the model, lost payloads included; local and tcp
+	// count one per direction.
 	Messages uint64
 	// BytesOut and BytesIn count request and response payload bytes.
 	BytesOut uint64
@@ -86,19 +87,71 @@ type Stats struct {
 	// zero for local, measured wall time for tcp. Per-call deltas of
 	// this field are what the cluster's EWMA and hedging consume.
 	Latency time.Duration
+
+	// Faults counts crossings hit by the sim flavor's fault policy
+	// (zero for local and tcp). Latencies counts the crossings it
+	// delayed, by LatencySim in total; PerMethod breaks Faults down by
+	// RPC method.
+	Faults
+	Latencies  uint64
+	LatencySim time.Duration
+	PerMethod  map[string]Faults
 }
 
-// Sub returns s - o, for per-call deltas.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Calls:    s.Calls - o.Calls,
-		Errors:   s.Errors - o.Errors,
-		Messages: s.Messages - o.Messages,
-		BytesOut: s.BytesOut - o.BytesOut,
-		BytesIn:  s.BytesIn - o.BytesIn,
-		Retries:  s.Retries - o.Retries,
-		Latency:  s.Latency - o.Latency,
+// Faults counts injected link faults by kind.
+type Faults struct {
+	Drops       uint64
+	Timeouts    uint64
+	Corruptions uint64
+	Tampers     uint64
+}
+
+func (f *Faults) bump(k faultsim.Kind) {
+	switch k {
+	case faultsim.Drop:
+		f.Drops++
+	case faultsim.Timeout:
+		f.Timeouts++
+	case faultsim.Corrupt:
+		f.Corruptions++
+	case faultsim.Tamper:
+		f.Tampers++
 	}
+}
+
+func (f Faults) sub(o Faults) Faults {
+	return Faults{
+		Drops:       f.Drops - o.Drops,
+		Timeouts:    f.Timeouts - o.Timeouts,
+		Corruptions: f.Corruptions - o.Corruptions,
+		Tampers:     f.Tampers - o.Tampers,
+	}
+}
+
+// Sub returns s - o, for per-call deltas. The per-method map subtracts
+// entry-wise; methods whose delta is zero are omitted.
+func (s Stats) Sub(o Stats) Stats {
+	d := Stats{
+		Calls:      s.Calls - o.Calls,
+		Errors:     s.Errors - o.Errors,
+		Messages:   s.Messages - o.Messages,
+		BytesOut:   s.BytesOut - o.BytesOut,
+		BytesIn:    s.BytesIn - o.BytesIn,
+		Retries:    s.Retries - o.Retries,
+		Latency:    s.Latency - o.Latency,
+		Faults:     s.Faults.sub(o.Faults),
+		Latencies:  s.Latencies - o.Latencies,
+		LatencySim: s.LatencySim - o.LatencySim,
+	}
+	for method, f := range s.PerMethod {
+		if df := f.sub(o.PerMethod[method]); df != (Faults{}) {
+			if d.PerMethod == nil {
+				d.PerMethod = make(map[string]Faults)
+			}
+			d.PerMethod[method] = df
+		}
+	}
+	return d
 }
 
 // Transport carries framed RPCs from a client to a MedicalServer,
@@ -117,9 +170,8 @@ type Transport interface {
 }
 
 // retryNoter is the optional interface a transport implements to have
-// client retries folded into its own accounting (the sim flavor
-// forwards to the link's meter so chaos tests reconcile retries
-// exactly).
+// client retries folded into its own accounting (the sim flavor counts
+// them beside its traffic so chaos tests reconcile retries exactly).
 type retryNoter interface{ NoteRetry() }
 
 // NoteRetry records a client retry on the transport's counters.

@@ -46,7 +46,6 @@ import (
 	"qbism/internal/feature"
 	"qbism/internal/lfm"
 	"qbism/internal/mining"
-	"qbism/internal/netsim"
 	"qbism/internal/obs"
 	core "qbism/internal/qbism"
 	"qbism/internal/region"
@@ -335,13 +334,13 @@ type (
 	// FaultInjector draws faults from a FaultPolicy.
 	FaultInjector = faultsim.Injector
 	// RetryPolicy governs client-side query retries.
-	RetryPolicy = core.RetryPolicy
+	RetryPolicy = transport.RetryPolicy
 	// RetryStats reports one query's attempts, retries, and backoff.
-	RetryStats = core.RetryStats
+	RetryStats = transport.RetryStats
 	// LinkStats counts RPC traffic and injected link faults.
-	LinkStats = netsim.Stats
+	LinkStats = transport.Stats
 	// MethodFaults counts per-RPC-method injected faults.
-	MethodFaults = netsim.MethodFaults
+	MethodFaults = transport.Faults
 )
 
 // Fault kinds.
@@ -360,14 +359,14 @@ const (
 // Typed fault and integrity errors, matchable with errors.Is through
 // the full SQL → UDF → LFM chain.
 var (
-	ErrDropped        = netsim.ErrDropped
-	ErrLinkTimeout    = netsim.ErrLinkTimeout
-	ErrLinkCorrupt    = netsim.ErrCorrupt
+	ErrDropped        = transport.ErrDropped
+	ErrLinkTimeout    = transport.ErrLinkTimeout
+	ErrLinkCorrupt    = transport.ErrCorrupt
 	ErrReadFault      = lfm.ErrReadFault
 	ErrWriteFault     = lfm.ErrWriteFault
 	ErrChecksum       = lfm.ErrChecksum
-	ErrFrameTruncated = core.ErrFrameTruncated
-	ErrFrameCorrupt   = core.ErrFrameCorrupt
+	ErrFrameTruncated = transport.ErrFrameTruncated
+	ErrFrameCorrupt   = transport.ErrFrameCorrupt
 )
 
 // Resilience helpers.
@@ -375,10 +374,10 @@ var (
 	// NewFaultInjector builds an injector for a policy.
 	NewFaultInjector = faultsim.New
 	// DefaultRetryPolicy is a sane client retry configuration.
-	DefaultRetryPolicy = core.DefaultRetryPolicy
+	DefaultRetryPolicy = transport.DefaultRetryPolicy
 	// RetryableError classifies an error as transient (retryable) or
 	// semantic (terminal).
-	RetryableError = core.RetryableError
+	RetryableError = transport.RetryableError
 )
 
 // Observability (Config.Trace, Config.SlowLogThreshold): per-query
