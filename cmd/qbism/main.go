@@ -141,73 +141,88 @@ func main() {
 		return spec
 	}
 
+	if *shards > 0 && (*sql != "" || *repl) {
+		fail("-shards applies to query specs; the SQL modes run unsharded")
+	}
+	// One query and report path for both topologies: a System is a
+	// one-shard cluster, a ClusterSystem a bigger one.
+	var (
+		runQuery func(qbism.QuerySpec) (*qbism.QueryResult, error)
+		nodes    []*qbism.System // whose links carried the query
+		registry *qbism.MetricsRegistry
+		slowLog  *qbism.SlowQueryLog
+	)
 	if *shards > 0 {
-		if *sql != "" || *repl {
-			fail("-shards applies to query specs; the SQL modes run unsharded")
+		cs := loadCluster(cfg, *shards, *replicas, *deadNode, *slowNode)
+		defer cs.Close()
+		runQuery, registry, slowLog = cs.RunQuery, cs.Metrics, cs.SlowLog
+		for _, replicaSet := range cs.Nodes {
+			nodes = append(nodes, replicaSet...)
 		}
-		runClusterQuery(cfg, *shards, *replicas, *deadNode, *slowNode, *metrics, *out, buildSpec())
-		return
-	}
-
-	sys, err := qbism.NewSystem(cfg)
-	if err != nil {
-		fail("load: %v", err)
-	}
-	fmt.Printf("loaded %d^3 atlas, %d studies, %d structures; cache=%dp gap=%dp workers=%d\n",
-		sys.Side(), len(sys.Studies), len(sys.Atlas.Structures),
-		*cachePages, *gapPages, *workers)
-
-	runSQL := func(stmt string) error {
-		res, err := sys.DB.Exec(stmt)
+	} else {
+		sys, err := qbism.NewSystem(cfg)
 		if err != nil {
-			return err
+			fail("load: %v", err)
 		}
-		fmt.Println(strings.Join(res.Columns, " | "))
-		for _, row := range res.Rows {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = v.String()
+		fmt.Printf("loaded %d^3 atlas, %d studies, %d structures; cache=%dp gap=%dp workers=%d\n",
+			sys.Side(), len(sys.Studies), len(sys.Atlas.Structures),
+			*cachePages, *gapPages, *workers)
+
+		runSQL := func(stmt string) error {
+			res, err := sys.DB.Exec(stmt)
+			if err != nil {
+				return err
 			}
-			fmt.Println(strings.Join(cells, " | "))
+			fmt.Println(strings.Join(res.Columns, " | "))
+			for _, row := range res.Rows {
+				cells := make([]string, len(row))
+				for i, v := range row {
+					cells[i] = v.String()
+				}
+				fmt.Println(strings.Join(cells, " | "))
+			}
+			fmt.Printf("(%d rows)\n", len(res.Rows))
+			return nil
 		}
-		fmt.Printf("(%d rows)\n", len(res.Rows))
-		return nil
-	}
-	if *sql != "" {
-		if err := runSQL(*sql); err != nil {
-			fail("sql: %v", err)
+		if *sql != "" {
+			if err := runSQL(*sql); err != nil {
+				fail("sql: %v", err)
+			}
+			return
 		}
-		return
-	}
-	if *repl {
-		fmt.Println("SQL REPL over the loaded catalog; one statement per line, ctrl-D to exit.")
-		fmt.Printf("tables: %s\n", strings.Join(sys.DB.TableNames(), ", "))
-		scanner := bufio.NewScanner(os.Stdin)
-		scanner.Buffer(make([]byte, 1<<20), 1<<20)
-		for {
-			fmt.Print("qbism> ")
-			if !scanner.Scan() {
-				fmt.Println()
-				return
-			}
-			stmt := strings.TrimSpace(scanner.Text())
-			if stmt == "" {
-				continue
-			}
-			if stmt == "quit" || stmt == "exit" {
-				return
-			}
-			if err := runSQL(stmt); err != nil {
-				fmt.Println("error:", err)
+		if *repl {
+			fmt.Println("SQL REPL over the loaded catalog; one statement per line, ctrl-D to exit.")
+			fmt.Printf("tables: %s\n", strings.Join(sys.DB.TableNames(), ", "))
+			scanner := bufio.NewScanner(os.Stdin)
+			scanner.Buffer(make([]byte, 1<<20), 1<<20)
+			for {
+				fmt.Print("qbism> ")
+				if !scanner.Scan() {
+					fmt.Println()
+					return
+				}
+				stmt := strings.TrimSpace(scanner.Text())
+				if stmt == "" {
+					continue
+				}
+				if stmt == "quit" || stmt == "exit" {
+					return
+				}
+				if err := runSQL(stmt); err != nil {
+					fmt.Println("error:", err)
+				}
 			}
 		}
+		runQuery, registry, slowLog = sys.RunQuery, sys.Metrics, sys.SlowLog
+		nodes = []*qbism.System{sys}
 	}
 
-	spec := buildSpec()
-
-	res, err := sys.RunQuery(spec)
+	res, err := runQuery(buildSpec())
 	if err != nil {
-		if qbism.RetryableError(err) {
+		switch {
+		case *shards > 0 && errors.Is(err, qbism.ErrShardUnavailable):
+			fail("query: shard lost (typed, never a silent wrong answer): %v", err)
+		case qbism.RetryableError(err):
 			fail("query: %v (transient — retries exhausted)", err)
 		}
 		fail("query: %v", err)
@@ -216,6 +231,10 @@ func main() {
 	st := res.Data.Stats()
 	fmt.Printf("\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
 		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
+	if info := res.Shard; *shards > 0 && info != nil {
+		fmt.Printf("cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
+			info.Shard, info.Node, info.Attempts, info.Failovers, info.Hedged, info.HedgeWon, info.LatencySim)
+	}
 	if res.Retry.Retries > 0 {
 		fmt.Printf("resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
 			res.Retry.Attempts, res.Retry.Retries, res.Retry.BackoffSim, res.Retry.LastError)
@@ -223,7 +242,16 @@ func main() {
 	if res.Meta.Degraded {
 		fmt.Printf("WARNING: degraded answer — %s\n", res.Meta.Warning)
 	}
-	if ls := sys.Link.Stats(); ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers+ls.Latencies > 0 {
+	var ls qbism.LinkStats
+	for _, n := range nodes {
+		s := n.Link.Stats()
+		ls.Drops += s.Drops
+		ls.Timeouts += s.Timeouts
+		ls.Corruptions += s.Corruptions
+		ls.Tampers += s.Tampers
+		ls.Latencies += s.Latencies
+	}
+	if ls.Drops+ls.Timeouts+ls.Corruptions+ls.Tampers+ls.Latencies > 0 {
 		fmt.Printf("link faults: %d drops, %d timeouts, %d corruptions, %d tampers, %d latency hits\n",
 			ls.Drops, ls.Timeouts, ls.Corruptions, ls.Tampers, ls.Latencies)
 	}
@@ -233,9 +261,9 @@ func main() {
 		fmt.Print(res.Trace.RenderString())
 	}
 	if *slowlog > 0 {
-		entries := sys.SlowLog.Entries()
+		entries := slowLog.Entries()
 		fmt.Printf("\nslow-query log (threshold %v): %d of %d captured\n",
-			*slowlog, len(entries), sys.SlowLog.Total())
+			*slowlog, len(entries), slowLog.Total())
 		for _, e := range entries {
 			fmt.Printf("-- %s (%v)\n", e.Label, e.Total)
 			for _, line := range e.Explain {
@@ -245,7 +273,7 @@ func main() {
 	}
 	if *metrics {
 		fmt.Println("\nmetrics:")
-		sys.Metrics.WriteProm(os.Stdout)
+		registry.WriteProm(os.Stdout)
 	}
 
 	if *out != "" {
@@ -281,11 +309,9 @@ func parseNodeRef(flagName, v string) (shard, replica int, ok bool) {
 	return sh, r, true
 }
 
-// runClusterQuery executes one query spec against a sharded deployment,
-// optionally degrading one node first, and reports how the read was
-// served: which node answered, and any failovers, retries, or hedges it
-// took to keep the answer byte-identical.
-func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode string, metrics bool, out string, spec qbism.QuerySpec) {
+// loadCluster builds a sharded deployment, optionally degrading one
+// dead and one slow node, and reports its layout.
+func loadCluster(cfg qbism.Config, shards, replicas int, deadNode, slowNode string) *qbism.ClusterSystem {
 	deadSh, deadR, haveDead := parseNodeRef("-deadnode", deadNode)
 	slowSh, slowR, haveSlow := parseNodeRef("-slownode", slowNode)
 	if replicas == 0 {
@@ -293,7 +319,7 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode 
 		// -replicas 0 on the CLI means none.
 		replicas = -1
 	}
-	ccfg := qbism.ClusterConfig{
+	cs, err := qbism.NewClusterSystem(qbism.ClusterConfig{
 		Shards: shards, Replicas: replicas, Base: cfg,
 		Retry:      cfg.Retry,
 		HedgeAfter: 25 * time.Millisecond,
@@ -306,12 +332,10 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode 
 			}
 			return nil, nil
 		},
-	}
-	cs, err := qbism.NewClusterSystem(ccfg)
+	})
 	if err != nil {
 		fail("load cluster: %v", err)
 	}
-	defer cs.Close()
 	perShard := make([]int, shards)
 	for sh, nodes := range cs.Nodes {
 		perShard[sh] = len(nodes[0].Studies)
@@ -327,44 +351,7 @@ func runClusterQuery(cfg qbism.Config, shards, replicas int, deadNode, slowNode 
 	if haveSlow {
 		fmt.Printf("degraded: node %d:%d is slow (+50ms per message)\n", slowSh, slowR)
 	}
-
-	res, err := cs.RunQuery(spec)
-	if err != nil {
-		if errors.Is(err, qbism.ErrShardUnavailable) {
-			fail("query: shard lost (typed, never a silent wrong answer): %v", err)
-		}
-		fail("query: %v", err)
-	}
-	qbism.WriteTable3(os.Stdout, []qbism.QueryTiming{res.Timing})
-	st := res.Data.Stats()
-	fmt.Printf("\nresult: %d voxels in %d runs; intensity min/mean/max = %d/%.1f/%d (patient %s, %s)\n",
-		st.N, res.Data.Region.NumRuns(), st.Min, st.Mean, st.Max, res.Meta.Patient, res.Meta.Date)
-	if info := res.Shard; info != nil {
-		fmt.Printf("cluster: shard %d served by %s in %d attempt(s), %d failover(s), hedged=%v (won=%v), %v simulated node latency\n",
-			info.Shard, info.Node, info.Attempts, info.Failovers, info.Hedged, info.HedgeWon, info.LatencySim)
-	}
-	if res.Retry.Retries > 0 {
-		fmt.Printf("resilience: %d attempts, %d retried, %v simulated backoff (last error: %s)\n",
-			res.Retry.Attempts, res.Retry.Retries, res.Retry.BackoffSim, res.Retry.LastError)
-	}
-	if res.Meta.Degraded {
-		fmt.Printf("WARNING: degraded answer — %s\n", res.Meta.Warning)
-	}
-	if metrics {
-		fmt.Println("\ncluster metrics:")
-		cs.Metrics.WriteProm(os.Stdout)
-	}
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fail("create %s: %v", out, err)
-		}
-		defer f.Close()
-		if err := res.Image.WritePGM(f); err != nil {
-			fail("write %s: %v", out, err)
-		}
-		fmt.Printf("wrote %dx%d MIP projection to %s\n", res.Image.W, res.Image.H, out)
-	}
+	return cs
 }
 
 func fail(format string, args ...interface{}) {

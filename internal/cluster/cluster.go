@@ -6,11 +6,13 @@
 // The package is deliberately generic: a node is any
 // transport.Transport (a simulated link to a local qbism System, a TCP
 // connection to a daemon, a test fake). Each call is priced from the
-// node's Stats().Latency delta — the simulated latency of the call,
+// node's Stats() delta around it — the simulated latency of the call,
 // which drives the cluster's clock, EWMA tracking, and hedging
-// decisions. Routing is by (patient, study) key so a study's queries
-// always land on the same shard regardless of which front end issues
-// them.
+// decisions; it is exact while a node's calls do not overlap and
+// indicative when they do. Routing is by (patient, study) key so a
+// study's queries always land on the same shard regardless of which
+// front end issues them. A single-node qbism System is a one-shard,
+// one-node cluster, so ReadShard is the repo's one client retry loop.
 package cluster
 
 import (
@@ -33,9 +35,8 @@ type Key struct {
 // Hash is a stable FNV-1a over the key's 16-byte little-endian
 // encoding, finished with a splitmix64-style avalanche so the low bits
 // (which `% K` consumes) are well mixed even for small sequential IDs.
-// Stability matters: the hash feeds both routing and the per-key
-// jitter stream, and must not drift across Go versions the way map
-// iteration or maphash would.
+// Stability matters: the hash feeds routing, and must not drift across
+// Go versions the way map iteration or maphash would.
 func (k Key) Hash() uint64 {
 	var buf [16]byte
 	p, s := uint64(k.Patient), uint64(k.Study)
@@ -123,10 +124,10 @@ type shardState struct {
 	nodes    []transport.Transport
 	names    []string
 	breakers []*Breaker
-	// calls serializes each node's calls so the Stats delta pricing a
-	// call is exact; different nodes still serve concurrently.
-	calls []sync.Mutex
-	ewma  []float64 // guarded by Cluster.mu; simulated ns per call
+	// Per-node metric handles, resolved once (nil without a registry).
+	latency []*obs.Histogram
+	errs    []*obs.Counter
+	ewma    []float64 // guarded by Cluster.mu; simulated ns per call
 }
 
 // Cluster executes reads against sharded, replicated nodes.
@@ -155,14 +156,13 @@ func New(cfg Config, shards [][]transport.Transport) (*Cluster, error) {
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("cluster: shard %d has no nodes", sh)
 		}
-		st := &shardState{
-			nodes: nodes,
-			calls: make([]sync.Mutex, len(nodes)),
-			ewma:  make([]float64, len(nodes)),
-		}
+		st := &shardState{nodes: nodes, ewma: make([]float64, len(nodes))}
 		for r := range nodes {
-			st.names = append(st.names, nodeName(sh, r))
+			name := nodeName(sh, r)
+			st.names = append(st.names, name)
 			st.breakers = append(st.breakers, NewBreaker(cfg.Breaker))
+			st.latency = append(st.latency, cfg.Metrics.Histogram("cluster_node_latency_seconds_"+name, obs.LatencyBuckets))
+			st.errs = append(st.errs, cfg.Metrics.Counter("cluster_node_errors_total_"+name))
 		}
 		c.shards = append(c.shards, st)
 	}
@@ -242,10 +242,9 @@ type ReadInfo struct {
 	Shard int
 	// Node is the name of the node whose response was used.
 	Node string
-	// Attempts is the number of node calls issued, including hedges.
-	Attempts int
-	// Retries is the number of failed attempts that were retried.
-	Retries int
+	// RetryStats is the read's resilience history; Attempts counts
+	// node calls, hedges included.
+	transport.RetryStats
 	// Failovers counts attempts served by a different node than the
 	// previous attempt dialed (the read "switched nodes").
 	Failovers int
@@ -253,18 +252,32 @@ type ReadInfo struct {
 	Hedged bool
 	// HedgeWon reports whether the hedge's response was the one used.
 	HedgeWon bool
-	// BackoffSim is the total simulated backoff wait.
-	BackoffSim time.Duration
-	// LatencySim is the simulated latency of the winning call.
+	// LatencySim is the simulated latency of the winning call, call
+	// quantum included — what the EWMA and hedging see.
 	LatencySim time.Duration
+	// Messages and NetSim sum the nodes' Stats() Messages and Latency
+	// deltas over every call the read made, without the call quantum.
+	Messages uint64
+	NetSim   time.Duration
 }
 
-// Read routes the key to its shard and reads from it. validate, when
-// non-nil, runs on each successful response, as in transport.CallRetry:
-// a reply that fails it counts as a failed call, so a payload tampered
-// in flight fails over like a dropped one.
-func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
-	return c.ReadShard(parent, c.part.Shard(key), key, method, request, validate)
+// readCall is one read's request and its running account.
+type readCall struct {
+	method   string
+	request  []byte
+	validate func([]byte) error
+	info     *ReadInfo
+}
+
+// Read routes the key to its shard and reads from it. callKey names
+// the logical call and seeds the retry jitter as
+// transport.JitterSeed(Retry.Seed, callKey), so a call backs off the
+// same way whatever the topology. validate, when non-nil, runs on each
+// successful response — the served node's first, then a hedge's: a
+// reply that fails it counts as a failed call, so a payload tampered
+// in flight is retried or fails over like a dropped one.
+func (c *Cluster) Read(parent *obs.Span, key Key, callKey, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
+	return c.ReadShard(parent, c.part.Shard(key), key, callKey, method, request, validate)
 }
 
 // ReadShard executes one read against a specific shard: it dials the
@@ -273,8 +286,10 @@ func (c *Cluster) Read(parent *obs.Span, key Key, method string, request []byte,
 // whose latency EWMA exceeds HedgeAfter, and returns a typed
 // ErrShardUnavailable once attempts are exhausted. Terminal (semantic)
 // errors return immediately without failover — another replica would
-// give the same answer.
-func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
+// give the same answer. A retried attempt is noted on the node that
+// failed it (transport.NoteRetry), so link meters reconcile with
+// ReadInfo.Retries.
+func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, callKey, method string, request []byte, validate func([]byte) error) ([]byte, ReadInfo, error) {
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, ReadInfo{Shard: shard}, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.shards))
 	}
@@ -285,8 +300,9 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 	span.SetStr("key", key.String())
 
 	info := ReadInfo{Shard: shard}
+	rc := &readCall{method: method, request: request, validate: validate, info: &info}
 	pol := c.cfg.Retry
-	rng := faultsim.NewRand(pol.Seed ^ key.Hash())
+	rng := faultsim.NewRand(transport.JitterSeed(pol.Seed, callKey))
 	var lastErr error
 	prevNode := -1
 
@@ -301,6 +317,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			// quantum so cooldowns eventually elapse, then retry.
 			c.advance(c.cfg.CallQuantum)
 			lastErr = fmt.Errorf("cluster: shard %d: all %d node(s) circuit-open", shard, len(st.nodes))
+			info.LastError = lastErr.Error()
 		} else {
 			if prevNode >= 0 && node != prevNode {
 				info.Failovers++
@@ -311,9 +328,9 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 			// already known slow gets a racing replica call; the first
 			// slow response merely seeds the average.
 			priorEWMA := c.nodeEWMA(st, node)
-			resp, lat, err := c.callNode(span, st, node, method, request, validate)
+			resp, lat, err := c.callNode(span, st, node, rc)
 			if err == nil {
-				winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, method, request, validate, lat)
+				winner, winLat, hedged, hedgeWon := c.maybeHedge(span, st, node, priorEWMA, rc, lat)
 				if hedged {
 					info.Attempts++
 					info.Hedged = true
@@ -327,6 +344,7 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 				// node's payload is the answer whichever call won.
 				return resp, info, nil
 			}
+			info.LastError = err.Error()
 			lastErr = fmt.Errorf("node %s: %w", st.names[node], err)
 			prevNode = node
 			if !transport.RetryableError(err) {
@@ -342,6 +360,9 @@ func (c *Cluster) ReadShard(parent *obs.Span, shard int, key Key, method string,
 		}
 		info.Retries++
 		info.BackoffSim += c.backoffWait(pol, attempt, rng)
+		if node >= 0 {
+			transport.NoteRetry(st.nodes[node])
+		}
 	}
 	c.count("cluster_shard_unavailable_total", 1)
 	span.SetInt("unavailable", 1)
@@ -374,25 +395,27 @@ func (c *Cluster) pickNode(st *shardState, avoid int) int {
 }
 
 // callNode issues one node call, advancing the simulated clock and
-// updating breaker + EWMA + per-node metrics. The call's latency is
-// the node's Stats().Latency delta, taken under the node's call lock.
-// A response that fails validate counts as a failed call.
-func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method string, request []byte, validate func([]byte) error) ([]byte, time.Duration, error) {
-	t, name := st.nodes[node], st.names[node]
-	st.calls[node].Lock()
-	before := t.Stats().Latency
-	resp, err := t.Call(span, method, request)
-	lat := t.Stats().Latency - before
-	st.calls[node].Unlock()
-	if err == nil && validate != nil {
-		err = validate(resp)
+// updating breaker + EWMA + per-node metrics, and adds the node's
+// Stats() delta around the call to the read's account. The call's
+// latency is that delta's Latency. A response that fails validate
+// counts as a failed call.
+func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, rc *readCall) ([]byte, time.Duration, error) {
+	t := st.nodes[node]
+	before := t.Stats()
+	resp, err := t.Call(span, rc.method, rc.request)
+	after := t.Stats()
+	lat := after.Latency - before.Latency
+	rc.info.Messages += after.Messages - before.Messages
+	rc.info.NetSim += lat
+	if err == nil && rc.validate != nil {
+		err = rc.validate(resp)
 	}
 	effective := lat + c.cfg.CallQuantum
 	now := c.advance(effective)
-	c.observe("cluster_node_latency_seconds_"+name, effective)
+	st.latency[node].Observe(effective.Seconds())
 	if err != nil {
 		st.breakers[node].OnFailure(now)
-		c.count("cluster_node_errors_total_"+name, 1)
+		st.errs[node].Inc()
 		return nil, lat, err
 	}
 	st.breakers[node].OnSuccess()
@@ -404,7 +427,7 @@ func (c *Cluster) callNode(span *obs.Span, st *shardState, node int, method stri
 // HedgeAfter and another healthy node exists; it returns the winning
 // node index and latency. Replicas are byte-identical, so "winning" is
 // purely a latency race and the hedge's payload is not needed.
-func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, method string, request []byte, validate func([]byte) error, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
+func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEWMA time.Duration, rc *readCall, lat time.Duration) (winner int, winLat time.Duration, hedged, hedgeWon bool) {
 	winner, winLat = served, lat
 	if c.cfg.HedgeAfter <= 0 || len(st.nodes) < 2 {
 		return
@@ -418,7 +441,7 @@ func (c *Cluster) maybeHedge(span *obs.Span, st *shardState, served int, priorEW
 	}
 	hspan := span.Child("cluster.hedge")
 	hspan.SetStr("node", st.names[alt])
-	_, altLat, err := c.callNode(hspan, st, alt, method, request, validate)
+	_, altLat, err := c.callNode(hspan, st, alt, rc)
 	hspan.End()
 	hedged = true
 	c.count("cluster_hedged_total", 1)
@@ -439,15 +462,5 @@ func (c *Cluster) backoffWait(pol transport.RetryPolicy, attempt int, rng *fault
 }
 
 func (c *Cluster) count(name string, delta int64) {
-	if c.cfg.Metrics == nil {
-		return
-	}
 	c.cfg.Metrics.Counter(name).Add(delta)
-}
-
-func (c *Cluster) observe(name string, d time.Duration) {
-	if c.cfg.Metrics == nil {
-		return
-	}
-	c.cfg.Metrics.Histogram(name, obs.LatencyBuckets).Observe(d.Seconds())
 }

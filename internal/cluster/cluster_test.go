@@ -40,6 +40,8 @@ func (f *fakeNode) Call(parent *obs.Span, method string, request []byte) ([]byte
 
 func (f *fakeNode) Stats() transport.Stats { return f.stats }
 
+func (f *fakeNode) NoteRetry() { f.stats.Retries++ }
+
 func (f *fakeNode) Close() error { return nil }
 
 func alwaysFail(err error) []error {
@@ -64,7 +66,7 @@ func TestReadPrimaryHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", []byte("req"), nil)
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "k", "q", []byte("req"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil)
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "k", "q", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestReadValidateFailureFailsOver(t *testing.T) {
 		}
 		return nil
 	}
-	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, validate)
+	resp, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "k", "q", nil, validate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestReadExhaustionIsTypedUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 2, Study: 2}, "q", nil, nil)
+	_, info, err := c.Read(nil, Key{Patient: 2, Study: 2}, "k", "q", nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -173,7 +175,7 @@ func TestReadTerminalErrorNoFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 3, Study: 3}, "q", nil, nil)
+	_, info, err := c.Read(nil, Key{Patient: 3, Study: 3}, "k", "q", nil, nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -199,7 +201,7 @@ func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	}
 	// Two reads trip the primary's breaker (one failure each).
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.Read(nil, Key{Patient: 1, Study: i}, "q", nil, nil); err != nil {
+		if _, _, err := c.Read(nil, Key{Patient: 1, Study: i}, "k", "q", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +211,7 @@ func TestReadBreakerSkipsDeadPrimary(t *testing.T) {
 	dialed := p.calls
 	// Subsequent reads go straight to the replica without dialing the
 	// dead primary.
-	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 9}, "q", nil, nil); err != nil {
+	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 9}, "k", "q", nil, nil); err != nil {
 		t.Fatal(err)
 	} else if info.Node != "s0r1" || info.Attempts != 1 {
 		t.Fatalf("info = %+v", info)
@@ -229,7 +231,7 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil); err != nil {
+	if _, _, err := c.Read(nil, Key{Patient: 1, Study: 1}, "k", "q", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.NodeState(0, 0); got != BreakerOpen {
@@ -240,7 +242,7 @@ func TestReadBreakerHalfOpenRecovery(t *testing.T) {
 	// its failSeq is exhausted, closing the breaker.
 	var served string
 	for i := 0; i < 30 && served != "s0p"; i++ {
-		_, info, err := c.Read(nil, Key{Patient: 1, Study: 100 + i}, "q", nil, nil)
+		_, info, err := c.Read(nil, Key{Patient: 1, Study: 100 + i}, "k", "q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,12 +269,12 @@ func TestReadHedgesAgainstSlowNode(t *testing.T) {
 	}
 	// First read seeds the slow node's EWMA above the hedge threshold;
 	// the second read hedges and the replica wins the latency race.
-	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "q", nil, nil); err != nil {
+	if _, info, err := c.Read(nil, Key{Patient: 1, Study: 1}, "k", "q", nil, nil); err != nil {
 		t.Fatal(err)
 	} else if info.Hedged {
 		t.Fatalf("hedged before EWMA had data: %+v", info)
 	}
-	_, info, err := c.Read(nil, Key{Patient: 1, Study: 2}, "q", nil, nil)
+	_, info, err := c.Read(nil, Key{Patient: 1, Study: 2}, "k", "q", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +304,7 @@ func TestReadBackoffDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, info, err := c.Read(nil, Key{Patient: 5, Study: 5}, "q", nil, nil)
+		_, info, err := c.Read(nil, Key{Patient: 5, Study: 5}, "k", "q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +337,7 @@ func TestReadShardOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadShard(nil, 7, Key{}, "q", nil, nil); err == nil {
+	if _, _, err := c.ReadShard(nil, 7, Key{}, "k", "q", nil, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }

@@ -24,25 +24,58 @@ var (
 	sysErr  error
 )
 
+func equivalenceConfig() qbism.Config {
+	return qbism.Config{
+		Bits:               5,
+		NumPET:             3,
+		NumMRI:             1,
+		Seed:               7,
+		Method:             rencode.Naive,
+		SmallStudies:       true,
+		ExtraBandEncodings: true,
+		StoreRaw:           true,
+		WithMeshes:         true,
+	}
+}
+
 func testSystem(t *testing.T) *qbism.System {
 	t.Helper()
 	sysOnce.Do(func() {
-		sysInst, sysErr = qbism.New(qbism.Config{
-			Bits:               5,
-			NumPET:             3,
-			NumMRI:             1,
-			Seed:               7,
-			Method:             rencode.Naive,
-			SmallStudies:       true,
-			ExtraBandEncodings: true,
-			StoreRaw:           true,
-			WithMeshes:         true,
-		})
+		sysInst, sysErr = qbism.New(equivalenceConfig())
 	})
 	if sysErr != nil {
 		t.Fatal(sysErr)
 	}
 	return sysInst
+}
+
+// wireSystem builds a same-seed twin of testSystem whose client
+// transport (Config.Dial) is a TCP connection to a daemon serving the
+// twin itself on 127.0.0.1 — so the twin's own front end queries it
+// over real sockets.
+func wireSystem(t *testing.T) (*qbism.System, *Daemon) {
+	t.Helper()
+	var d *Daemon
+	cfg := equivalenceConfig()
+	cfg.Dial = func(s *qbism.System) (transport.Transport, error) {
+		d = New(s, Config{Addr: "127.0.0.1:0"})
+		if err := d.Start(); err != nil {
+			return nil, err
+		}
+		return transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second}), nil
+	}
+	sys, err := qbism.New(cfg)
+	if err != nil {
+		if d != nil {
+			d.Close()
+		}
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sys.Close()
+		d.Close()
+	})
+	return sys, d
 }
 
 // equivalenceSpecs is the comparison suite: Table 3's six single-study
@@ -87,23 +120,10 @@ func TestLoopbackEquivalence(t *testing.T) {
 	// Baseline: the default in-process simulated transport.
 	baseline := runSuite(t, sys, specs)
 
-	// Stand up a daemon serving this same system's handler, and point
-	// the system's own front end at it over real TCP.
-	d := New(sys, Config{Addr: "127.0.0.1:0"})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	orig := sys.Transport
-	tcp := transport.DialTCP(d.Addr().String(), transport.TCPOptions{CallTimeout: 30 * time.Second})
-	sys.Transport = tcp
-	defer func() {
-		sys.Transport = orig
-		tcp.Close()
-	}()
-
-	wire := runSuite(t, sys, specs)
+	// A same-seed system whose front end reaches its MedicalServer over
+	// real TCP, through a daemon.
+	wireSys, d := wireSystem(t)
+	wire := runSuite(t, wireSys, specs)
 
 	for i := range specs {
 		label := specs[i].Label()
@@ -121,5 +141,28 @@ func TestLoopbackEquivalence(t *testing.T) {
 	// The wire run really crossed the socket.
 	if got, want := d.Stats().Calls, uint64(len(specs)); got < want {
 		t.Errorf("daemon served %d calls, want >= %d — the wire run did not use TCP", got, want)
+	}
+
+	// The band sweep's population form: the consistent-band REGION over
+	// every PET study, fetched through the bandRegion RPC, one call per
+	// study.
+	pets := sys.PETStudyIDs()
+	topLo := 256 - sys.Cfg.BandWidth
+	for _, enc := range []string{qbism.EncHilbertNaive, qbism.EncOctant} {
+		local, err := sys.ConsistentBandRegion(pets, topLo, 255, enc, 2)
+		if err != nil {
+			t.Fatalf("%s: sim ConsistentBandRegion: %v", enc, err)
+		}
+		before := d.Stats().Calls
+		remote, err := wireSys.ConsistentBandRegion(pets, topLo, 255, enc, 2)
+		if err != nil {
+			t.Fatalf("%s: wire ConsistentBandRegion: %v", enc, err)
+		}
+		if !local.Equal(remote) {
+			t.Errorf("%s: consistent-band REGION diverged across the wire", enc)
+		}
+		if got := d.Stats().Calls - before; got != uint64(len(pets)) {
+			t.Errorf("%s: daemon served %d band calls, want %d (one per study)", enc, got, len(pets))
+		}
 	}
 }

@@ -471,6 +471,76 @@ func TestClusterNodeKilledMidRun(t *testing.T) {
 	}
 }
 
+// TestClusterNetAccountingMatchesControl: with no faults, a cluster
+// query's network cost is priced exactly like the unsharded control's:
+// Timing.NetMessages and NetSim are the metered Stats() delta of the
+// one call the read made — no constant message count, no call quantum.
+// (Message counts depend on reply length, which varies only in the
+// measured dbCpuNanos digits; every pool reply sits well clear of a
+// message boundary.)
+func TestClusterNetAccountingMatchesControl(t *testing.T) {
+	control, err := New(chaosBaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewClusterSystem(clusterChaosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range chaosSpecPool(control) {
+		want, err := control.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("control %s: %v", spec.Label(), err)
+		}
+		got, err := cs.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("cluster %s: %v", spec.Label(), err)
+		}
+		if got.Timing.NetMessages != want.Timing.NetMessages || got.Timing.NetSim != want.Timing.NetSim {
+			t.Errorf("%s: cluster priced %d messages / %v, control %d / %v", spec.Label(),
+				got.Timing.NetMessages, got.Timing.NetSim, want.Timing.NetMessages, want.Timing.NetSim)
+		}
+	}
+}
+
+// TestClusterLinkRetriesReconcile: with a primary killed, every read
+// of its shard fails over once, and each retried attempt is noted on
+// the node that failed it — so the nodes' link retry meters sum to the
+// queries' summed Retry.Retries, as they do on a single node.
+func TestClusterLinkRetriesReconcile(t *testing.T) {
+	control, err := New(chaosBaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := chaosSpecPool(control)
+	cs, err := NewClusterSystem(clusterChaosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, _ := cs.Route(pool[0].StudyID)
+	cs.Nodes[victim][0].Link.SetFaults(faultsim.New(*deadLink()))
+	retried := 0
+	for _, spec := range pool {
+		res, err := cs.RunQuery(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		retried += res.Retry.Retries
+	}
+	if retried == 0 {
+		t.Fatal("no query retried — the dead primary was never dialed")
+	}
+	var noted uint64
+	for _, nodes := range cs.Nodes {
+		for _, node := range nodes {
+			noted += node.Link.Stats().Retries
+		}
+	}
+	if noted != uint64(retried) {
+		t.Errorf("node links noted %d retries, queries report %d", noted, retried)
+	}
+}
+
 // TestClusterDeadShardPartial kills both nodes of a shard: scatter-
 // gather returns the surviving shards' results byte-identical plus a
 // typed PartialResult naming exactly the lost shard, and the partial /

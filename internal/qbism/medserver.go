@@ -115,6 +115,12 @@ type QueryMeta struct {
 // medicalQueryMethod is the RPC method name on the link.
 const medicalQueryMethod = "medicalQuery"
 
+// bandRegionMethod returns one study's stored band REGION bytes: the
+// population path's per-study read (ConsistentBandRegion), which
+// needs the REGION alone — no voxel extraction, import, or render. Its
+// request is a framed QuerySpec naming the study, band, and encoding.
+const bandRegionMethod = "bandRegion"
+
 // QueryMethod is the wire method name a raw Transport caller uses to
 // reach the MedicalServer — the same name RunQuery dispatches on.
 const QueryMethod = medicalQueryMethod
@@ -129,6 +135,21 @@ func EncodeQueryRequest(spec QuerySpec) ([]byte, error) {
 		return nil, err
 	}
 	return transport.EncodeFrame(specJSON, nil)
+}
+
+// decodeQueryRequest is the server side of EncodeQueryRequest. The
+// frame CRC means a request corrupted in flight fails with a typed,
+// retryable error instead of executing a different query.
+func decodeQueryRequest(request []byte) (QuerySpec, error) {
+	var spec QuerySpec
+	specJSON, _, err := transport.DecodeFrame(request)
+	if err != nil {
+		return spec, fmt.Errorf("qbism: request: %w", err)
+	}
+	if err := json.Unmarshal(specJSON, &spec); err != nil {
+		return spec, fmt.Errorf("qbism: bad query spec: %w", err)
+	}
+	return spec, nil
 }
 
 // DecodeQueryResponse splits a QueryMethod response into its meta
@@ -149,6 +170,8 @@ func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 	switch method {
 	case medicalQueryMethod:
 		return s.handleMedicalQuery(sp, request)
+	case bandRegionMethod:
+		return s.handleBandRegion(sp, request)
 	default:
 		return nil, fmt.Errorf("qbism: %w: %q", transport.ErrUnknownMethod, method)
 	}
@@ -156,30 +179,14 @@ func (s *System) ServeRPC(sp *obs.Span, method string, request []byte) ([]byte, 
 
 // handleMedicalQuery is the MedicalServer RPC handler: it receives a
 // framed QuerySpec, generates and executes the SQL, and returns the
-// framed response (meta header + DataRegion blob). The frame CRC on
-// the way in means a request corrupted in flight fails with a typed,
-// retryable error instead of executing a different query.
+// framed response (meta header + DataRegion blob).
 func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error) {
-	specJSON, _, err := transport.DecodeFrame(request)
+	spec, err := decodeQueryRequest(request)
 	if err != nil {
-		return nil, fmt.Errorf("qbism: request: %w", err)
+		return nil, err
 	}
-	var spec QuerySpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, fmt.Errorf("qbism: bad query spec: %w", err)
-	}
+	defer s.traceHandler(sp)()
 	if sp != nil {
-		// Traced handlers run one at a time: the LFM has a single
-		// span attachment point, and serializing here is what makes
-		// the span tree's page accounting reconcile exactly with the
-		// lfm.Stats deltas below (the paper's measured protocol is
-		// serial anyway).
-		s.traceMu.Lock()
-		s.LFM.SetSpan(sp)
-		defer func() {
-			s.LFM.SetSpan(nil)
-			s.traceMu.Unlock()
-		}()
 		sp.SetStr("query", spec.Label())
 	}
 	start := time.Now()
@@ -219,6 +226,53 @@ func (s *System) handleMedicalQuery(sp *obs.Span, request []byte) ([]byte, error
 		return nil, err
 	}
 	return transport.EncodeFrame(header, blob)
+}
+
+// traceHandler attaches a traced handler's span (nil = untraced, a
+// no-op) to the LFM and returns the detach func. Traced handlers run
+// one at a time: the LFM has a single span attachment point, and
+// serializing here is what makes the span tree's page accounting
+// reconcile exactly with the handler's lfm.Stats deltas (the paper's
+// measured protocol is serial anyway).
+func (s *System) traceHandler(sp *obs.Span) (detach func()) {
+	if sp == nil {
+		return func() {}
+	}
+	s.traceMu.Lock()
+	s.LFM.SetSpan(sp)
+	return func() {
+		s.LFM.SetSpan(nil)
+		s.traceMu.Unlock()
+	}
+}
+
+// handleBandRegion is the bandRegion RPC handler: it looks up one
+// study's intensityBand row for [lo, hi] under the requested encoding
+// and returns the stored REGION bytes, framed, for the client to
+// decode and recode onto its curve.
+func (s *System) handleBandRegion(sp *obs.Span, request []byte) ([]byte, error) {
+	spec, err := decodeQueryRequest(request)
+	if err != nil {
+		return nil, err
+	}
+	defer s.traceHandler(sp)()
+	row, n, err := s.querySingle(sp, `
+select ib.region
+from   intensityBand ib
+where  ib.studyId = ? and ib.lo = ? and ib.hi = ? and ib.encoding = ?`,
+		sdb.Int(int64(spec.StudyID)), sdb.Int(int64(spec.BandLo)), sdb.Int(int64(spec.BandHi)),
+		sdb.Str(spec.Encoding))
+	if err != nil {
+		return nil, err
+	}
+	if n != 1 || row[0].T != sdb.TLong {
+		return nil, fmt.Errorf("qbism: no stored intensityBand row")
+	}
+	data, err := s.LFM.Read(row[0].L)
+	if err != nil {
+		return nil, err
+	}
+	return transport.EncodeFrame(nil, data)
 }
 
 // querySingle streams a generated SELECT through the iterator API and

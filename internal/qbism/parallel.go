@@ -1,13 +1,16 @@
 package qbism
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"qbism/internal/cluster"
 	"qbism/internal/obs"
 	"qbism/internal/region"
-	"qbism/internal/sdb"
+	"qbism/internal/rencode"
+	"qbism/internal/transport"
 )
 
 // The parallel executor: multi-study workloads — Table 4's n-way
@@ -52,19 +55,57 @@ func (s *System) RunQueries(specs []QuerySpec, workers int) []BatchItem {
 // off. Spans are internally locked, so concurrent workers appending
 // children under the shared root are race-clean.
 func (s *System) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *obs.Span) {
+	items, _, batch := s.front.runQueries(specs, workers)
+	return items, batch
+}
+
+// runQueries runs the specs over the worker pool, each through
+// runQuery under one batch span, and folds the items lost to a dead
+// shard into the batch's PartialResult (nil when every shard answered).
+func (fe *frontEnd) runQueries(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
 	if workers <= 0 {
-		workers = s.Cfg.Workers
+		workers = fe.workers
 	}
-	batch := s.Tracer.Start("batch")
+	batch := fe.tracer.Start("batch")
 	batch.SetInt("queries", int64(len(specs)))
 	batch.SetInt("workers", int64(workers))
 	defer batch.End()
 	out := make([]BatchItem, len(specs))
 	forEach(len(specs), workers, func(i int) {
-		res, err := s.runQuerySpan(batch, specs[i])
+		res, err := fe.runQuery(batch, specs[i])
 		out[i] = BatchItem{Spec: specs[i], Res: res, Err: err}
 	})
-	return out, batch
+	studies := make([]int, len(out))
+	errs := make([]error, len(out))
+	for i, item := range out {
+		studies[i], errs[i] = item.Spec.StudyID, item.Err
+	}
+	partial := fe.partial(studies, errs)
+	if partial != nil {
+		batch.SetStr("partial", partial.String())
+	}
+	return out, partial, batch
+}
+
+// partial folds per-study errors into the typed PartialResult meta —
+// nil when no shard was lost — and counts the loss.
+func (fe *frontEnd) partial(studies []int, errs []error) *cluster.PartialResult {
+	keys := make([]cluster.Key, len(studies))
+	shards := make([]int, len(studies))
+	for i, id := range studies {
+		key, err := fe.key(id)
+		if err != nil {
+			continue // unroutable items are plain errors, not lost shards
+		}
+		keys[i] = key
+		shards[i] = fe.cluster.Partitioner().Shard(key)
+	}
+	partial := cluster.BuildPartial(fe.cluster.Shards(), keys, shards, errs)
+	if partial != nil {
+		fe.metrics.Counter("cluster_partial_total").Inc()
+		fe.metrics.Counter("cluster_lost_queries_total").Add(int64(partial.LostKeys()))
+	}
+	return partial
 }
 
 // forEach calls fn(i) for every i in [0, n) over a pool of at most
@@ -140,48 +181,85 @@ func BatchSim(items []BatchItem, workers int) (serial, parallel time.Duration) {
 // given encoding — fetching the per-study band REGIONs concurrently
 // over a bounded pool, then intersecting smallest-first. The result is
 // identical to the serial SQL plan's: each fetch is an independent
-// read, and IntersectN is order-independent.
+// read, and IntersectN is order-independent. A study whose fetch fails
+// fails the whole answer.
 func (s *System) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, error) {
+	out, partial, err := s.front.consistentBandRegion(studies, bandLo, bandHi, encoding, workers)
+	if err == nil && partial != nil {
+		return nil, partial.Failed[0].Err
+	}
+	return out, err
+}
+
+// consistentBandRegion fetches each study's stored band REGION through
+// the bandRegion RPC — no import or render, only the REGION bytes —
+// and intersects them. Studies lost to a dead shard are left out of
+// the intersection and named in the PartialResult; err is non-nil only
+// for terminal failures or when no study survived.
+func (fe *frontEnd) consistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, *cluster.PartialResult, error) {
 	if len(studies) == 0 {
-		return nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
+		return nil, nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
 	}
 	if workers <= 0 {
-		workers = s.Cfg.Workers
+		workers = fe.workers
 	}
 	regions := make([]*region.Region, len(studies))
 	errs := make([]error, len(studies))
 	forEach(len(studies), workers, func(i int) {
-		regions[i], errs[i] = s.fetchBandRegion(studies[i], bandLo, bandHi, encoding)
+		if r, err := fe.fetchBand(studies[i], bandLo, bandHi, encoding); err != nil {
+			errs[i] = fmt.Errorf("qbism: study %d band [%d,%d] %s: %w", studies[i], bandLo, bandHi, encoding, err)
+		} else {
+			regions[i] = r
+		}
 	})
+	partial := fe.partial(studies, errs)
+	var live []*region.Region
 	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("qbism: study %d band [%d,%d] %s: %w",
-				studies[i], bandLo, bandHi, encoding, err)
+		switch {
+		case err == nil:
+			live = append(live, regions[i])
+		case errors.Is(err, cluster.ErrShardUnavailable):
+			// Accounted in partial; the intersection degrades gracefully.
+		default:
+			return nil, partial, err
 		}
 	}
-	return region.IntersectN(regions...)
+	if len(live) == 0 {
+		return nil, partial, fmt.Errorf("qbism: all %d studies lost: %w", len(studies), cluster.ErrShardUnavailable)
+	}
+	out, err := region.IntersectN(live...)
+	return out, partial, err
 }
 
-// fetchBandRegion reads one study's stored band REGION and recodes it
-// onto the system curve (mirroring the nIntersect UDF's normalization).
-func (s *System) fetchBandRegion(studyID, bandLo, bandHi int, encoding string) (*region.Region, error) {
-	row, n, err := s.querySingle(nil, `
-select ib.region
-from   intensityBand ib
-where  ib.studyId = ? and ib.lo = ? and ib.hi = ? and ib.encoding = ?`,
-		sdb.Int(int64(studyID)), sdb.Int(int64(bandLo)), sdb.Int(int64(bandHi)),
-		sdb.Str(encoding))
+// fetchBand reads one study's stored band REGION through the
+// bandRegion RPC, decodes it, and recodes it onto the front end's
+// curve (mirroring the nIntersect UDF's normalization).
+func (fe *frontEnd) fetchBand(studyID, bandLo, bandHi int, encoding string) (*region.Region, error) {
+	key, err := fe.key(studyID)
 	if err != nil {
 		return nil, err
 	}
-	if n != 1 {
-		return nil, fmt.Errorf("no stored intensityBand row")
-	}
-	r, err := regionFromValue(s.DB, row[0])
+	spec := QuerySpec{StudyID: studyID, HasBand: true, BandLo: bandLo, BandHi: bandHi, Encoding: encoding}
+	request, err := EncodeQueryRequest(spec)
 	if err != nil {
 		return nil, err
 	}
-	return r.Recode(s.curveFor(r))
+	var r *region.Region
+	_, _, err = fe.cluster.Read(nil, key, spec.Key(), bandRegionMethod, request, func(resp []byte) error {
+		_, body, err := transport.DecodeFrame(resp)
+		if err != nil {
+			return fmt.Errorf("qbism: band response: %w", err)
+		}
+		got, err := rencode.Decode(body)
+		if err == nil && got.Curve().Kind() != fe.curve.Kind() {
+			got, err = got.Recode(fe.curve)
+		}
+		if err == nil && r == nil {
+			r = got
+		}
+		return err
+	})
+	return r, err
 }
 
 // Table4OneParallel is Table4One with the per-study band fetches fanned

@@ -10,6 +10,7 @@ import (
 	"qbism/internal/costmodel"
 	"qbism/internal/dx"
 	"qbism/internal/obs"
+	"qbism/internal/sfc"
 	"qbism/internal/transport"
 	"qbism/internal/volume"
 )
@@ -50,9 +51,9 @@ type QueryResult struct {
 	// Retry reports the query's resilience history: attempts, retries,
 	// and total simulated backoff.
 	Retry transport.RetryStats
-	// Shard, set only for queries served through a ClusterSystem,
-	// reports which shard and node answered and what failover work the
-	// cluster did on the way.
+	// Shard reports which shard and node answered and what retry and
+	// failover work the cluster did on the way (a single-node System
+	// is shard 0, node s0p).
 	Shard *cluster.ReadInfo
 	// Trace is the query's span tree (nil unless Config.Trace): the RPC
 	// round trips, server-side SQL phases and operators, per-handle LFM
@@ -60,28 +61,40 @@ type QueryResult struct {
 	Trace *obs.Span
 }
 
-// frontEnd is the client-side half of a query — the DX cache, the cost
-// model pricing the work, and the observability sinks. Both the
-// single-node System and the sharded ClusterSystem finish queries
-// through the same frontEnd, so timing, metrics, and slow-log behavior
-// are identical regardless of how the response was fetched.
+// frontEnd is the client half of every query, whatever the topology:
+// it routes a study to its shard, reads through the cluster's one retry
+// loop (cluster.ReadShard), and finishes the DX stages — import,
+// render, cache — pricing the work with the cost model and feeding the
+// observability sinks. A single-node System is a one-shard, one-node
+// cluster behind the same frontEnd as a ClusterSystem, so timing,
+// retries, metrics, and traces are computed one way for both.
 type frontEnd struct {
+	cluster *cluster.Cluster
+	// routes maps study IDs to routing keys. It is nil on a single-node
+	// System: there every study goes to the one shard, keyed by its own
+	// ID, and the MedicalServer answers for unknown ones.
+	routes  map[int]cluster.Key
+	workers int       // default pool size for batches and band fetches
+	curve   sfc.Curve // band REGIONs are recoded onto it
+
 	cache      *dx.Cache
 	model      costmodel.Model
+	tracer     *obs.Tracer
 	metrics    *obs.Registry
 	slowLog    *obs.SlowLog
 	slowThresh time.Duration
 }
 
-// fe returns the System's frontEnd view.
-func (s *System) fe() frontEnd {
-	return frontEnd{
-		cache:      s.Cache,
-		model:      s.Model,
-		metrics:    s.Metrics,
-		slowLog:    s.SlowLog,
-		slowThresh: s.Cfg.SlowLogThreshold,
+// key returns the routing key for a study; a study outside the
+// cluster's corpus is a terminal error.
+func (fe *frontEnd) key(studyID int) (cluster.Key, error) {
+	if fe.routes == nil {
+		return cluster.Key{Patient: studyID, Study: studyID}, nil
 	}
+	if k, ok := fe.routes[studyID]; ok {
+		return k, nil
+	}
+	return cluster.Key{}, fmt.Errorf("qbism: no study %d in the cluster corpus", studyID)
 }
 
 // RunQuery executes a query end to end under the paper's measurement
@@ -93,65 +106,63 @@ func (s *System) fe() frontEnd {
 // The network exchange is resilient: both directions are CRC-framed so
 // corruption and truncation surface as typed errors, and transient
 // failures (drops, timeouts, corrupt frames, device read faults) are
-// retried per s.Retry with capped exponential backoff and deterministic
-// jitter. Backoff is simulated time — no real sleeping — accounted in
-// Timing.RetrySim.
+// retried per Config.Retry with capped exponential backoff and
+// deterministic jitter. Backoff is simulated time — no real sleeping —
+// accounted in Timing.RetrySim.
 func (s *System) RunQuery(spec QuerySpec) (*QueryResult, error) {
-	return s.runQuerySpan(nil, spec)
+	return s.front.runQuery(nil, spec)
 }
 
-// runQuerySpan is RunQuery with an optional parent span (the batch
-// root, for RunQueries). With tracing enabled it produces the query's
-// span tree, feeds the metrics registry, and captures slow queries.
-func (s *System) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
-	s.Cache.Flush() // §6.1: "we flushed the DX cache before each run"
+// runQuery is RunQuery with an optional parent span (the batch root,
+// for RunQueries). It routes the spec, reads it from its shard —
+// validating and parsing the reply inside the read, so a reply
+// corrupted past the link layer's own checks is retried or fails over
+// like a failed call — and finishes the query client-side. With
+// tracing enabled it produces the query's span tree, feeds the metrics
+// registry, and captures slow queries.
+func (fe *frontEnd) runQuery(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
+	fe.cache.Flush() // §6.1: "we flushed the DX cache before each run"
 	totalStart := time.Now()
 
 	var root *obs.Span
 	if parent != nil {
 		root = parent.Child("query")
 	} else {
-		root = s.Tracer.Start("query")
+		root = fe.tracer.Start("query")
 	}
 	root.SetStr("spec", spec.Label())
 
+	key, err := fe.key(spec.StudyID)
+	if err != nil {
+		// Unroutable: terminal, not a shard health problem.
+		return nil, fe.fail(root, transport.RetryStats{Attempts: 1}, err)
+	}
 	request, err := EncodeQueryRequest(spec)
 	if err != nil {
-		root.End()
-		return nil, err
+		return nil, fe.fail(root, transport.RetryStats{}, err)
 	}
-
-	// The exchange rides the transport seam: CallRetry carries the
-	// capped-exponential, deterministically jittered schedule whatever
-	// flavor s.Transport is — the default simulated link, or a TCP
-	// connection to a live daemon. Response validation runs inside the
-	// loop, so a reply corrupted past the link layer's own checks is
-	// retried exactly like a failed call.
+	// The first reply that validates is the served node's (a hedge's
+	// reply is validated after it); that is the one kept.
 	var meta *QueryMeta
 	var blob []byte
-	net0 := s.Transport.Stats()
-	_, retry, err := transport.CallRetry(s.Transport, root, medicalQueryMethod, request, s.Retry, spec.Key(),
-		func(resp []byte) error {
-			m, b, verr := splitResponse(resp)
-			if verr != nil {
-				return verr
-			}
+	_, info, err := fe.cluster.Read(root, key, spec.Key(), medicalQueryMethod, request, func(resp []byte) error {
+		m, b, err := splitResponse(resp)
+		if err == nil && meta == nil {
 			meta, blob = m, b
-			return nil
-		})
+		}
+		return err
+	})
 	if err != nil {
-		return nil, s.fe().fail(root, retry, fmt.Errorf("qbism: query failed after %d attempt(s): %w", retry.Attempts, err))
+		return nil, fe.fail(root, info.RetryStats, fmt.Errorf("qbism: query failed after %d attempt(s): %w", info.Attempts, err))
 	}
-	netDelta := s.Transport.Stats().Sub(net0)
-
-	return s.fe().finish(root, spec, meta, blob, retry, netDelta.Messages, netDelta.Latency, totalStart)
+	return fe.finish(root, spec, meta, blob, info, totalStart)
 }
 
 // finish performs the client-side DX stages — import, render, cache —
 // prices the work with the cost model, and feeds the observability
-// sinks. netMessages/netSim describe the network exchange however it
-// was carried (single link or cluster read).
-func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob []byte, retry transport.RetryStats, netMessages uint64, netSim time.Duration, totalStart time.Time) (*QueryResult, error) {
+// sinks. The read's metered Messages and NetSim price the network.
+func (fe *frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob []byte, info cluster.ReadInfo, totalStart time.Time) (*QueryResult, error) {
+	retry := info.RetryStats
 	importStart := time.Now()
 	importSp := root.Child("dx.import")
 	data, err := UnmarshalDataRegion(blob)
@@ -185,8 +196,8 @@ func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob 
 		LFMPages:       meta.LFMPages,
 		DBMeasured:     time.Duration(meta.DBCPUNanos),
 		DBSimReal:      fe.model.StarburstTime(time.Duration(meta.DBCPUNanos), meta.LFMPages),
-		NetMessages:    netMessages,
-		NetSim:         netSim,
+		NetMessages:    info.Messages,
+		NetSim:         info.NetSim,
 		ImportMeasured: importDur,
 		ImportSim:      fe.model.ImportTime(importStats.Voxels, importStats.Runs),
 		RenderMeasured: renderDur,
@@ -209,13 +220,13 @@ func (fe frontEnd) finish(root *obs.Span, spec QuerySpec, meta *QueryMeta, blob 
 
 	return &QueryResult{
 		Spec: spec, Meta: *meta, Data: data, Field: field, Image: img, Timing: t, Retry: retry,
-		Trace: root,
+		Shard: &info, Trace: root,
 	}, nil
 }
 
 // fail finishes a query's observability on the error path: the root
 // span is annotated and ended, and the error counters bump.
-func (fe frontEnd) fail(root *obs.Span, retry transport.RetryStats, err error) error {
+func (fe *frontEnd) fail(root *obs.Span, retry transport.RetryStats, err error) error {
 	root.SetStr("error", err.Error())
 	root.SetInt("attempts", int64(retry.Attempts))
 	root.SetInt("retries", int64(retry.Retries))
@@ -229,7 +240,7 @@ func (fe frontEnd) fail(root *obs.Span, retry transport.RetryStats, err error) e
 // observe feeds the metrics registry and, when the query's measured
 // latency reaches the slow-log threshold, captures the full span tree
 // plus the executed plan into the slow-query ring.
-func (fe frontEnd) observe(spec QuerySpec, t QueryTiming, retry transport.RetryStats, root *obs.Span) {
+func (fe *frontEnd) observe(spec QuerySpec, t QueryTiming, retry transport.RetryStats, root *obs.Span) {
 	fe.metrics.Counter("qbism_queries_total").Inc()
 	fe.metrics.Counter("qbism_retries_total").Add(int64(retry.Retries))
 	fe.metrics.Histogram("qbism_query_latency_seconds", obs.LatencyBuckets).

@@ -3,10 +3,11 @@ package qbism
 // Sharded execution: the study corpus partitioned across K shards,
 // each a (primary, replica...) set of full QBISM nodes — its own LFM
 // device, database, and simulated link — each reached by the cluster
-// through a transport.Transport. The front end (DX cache, cost model,
-// observability) is shared with the single-node System via frontEnd,
-// so a query finishes identically whether it was fetched over one link
-// or scatter-gathered across a degraded cluster.
+// through a transport.Transport. The front end (routing, the cluster
+// read loop, DX cache, cost model, observability) is the single-node
+// System's frontEnd over a bigger cluster, so a query runs identically
+// whether it was fetched over one link or scatter-gathered across a
+// degraded cluster.
 //
 // Determinism: every node synthesizes its shard of the corpus from the
 // same global (ID, seed) enumeration (Config.OnlyStudies), so a shard's
@@ -16,7 +17,6 @@ package qbism
 // exact equality against an unsharded control system.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -85,8 +85,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 
 // ClusterSystem is a sharded QBISM deployment: K shards of replicated
 // nodes behind one front end. It exposes the same query surface as
-// System — RunQuery, RunQueries, ConsistentBandRegion — with routing,
-// failover, and partial-result semantics layered in.
+// System — RunQuery, RunQueries, ConsistentBandRegion — plus the
+// PartialResult naming any shard lost past retries.
 type ClusterSystem struct {
 	Cfg     ClusterConfig
 	Cluster *cluster.Cluster
@@ -104,7 +104,7 @@ type ClusterSystem struct {
 	Metrics *obs.Registry
 	SlowLog *obs.SlowLog
 
-	routes map[int]cluster.Key // studyID -> routing key
+	front *frontEnd
 	// dialed holds the transports Cfg.NodeDial built, so Close can
 	// release them (a node's default transport closes with its System).
 	dialed []transport.Transport
@@ -141,16 +141,14 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 	// Enumerate the global corpus exactly as loadStudies will: the
 	// routing table is derived from IDs alone, before any node exists.
 	part := cluster.NewPartitioner(cfg.Shards)
-	cs := &ClusterSystem{
-		Cfg:    cfg,
-		routes: make(map[int]cluster.Key),
-	}
+	cs := &ClusterSystem{Cfg: cfg}
+	routes := make(map[int]cluster.Key)
 	perShard := make([][]int, cfg.Shards)
 	for i := 0; i < base.NumPET+base.NumMRI; i++ {
 		info := StudyInfo{StudyID: i + 1, PatientID: i + 1, Modality: modalityFor(base, i)}
 		key := cluster.Key{Patient: info.PatientID, Study: info.StudyID}
 		sh := part.Shard(key)
-		cs.routes[info.StudyID] = key
+		routes[info.StudyID] = key
 		perShard[sh] = append(perShard[sh], info.StudyID)
 		cs.Studies = append(cs.Studies, info)
 	}
@@ -213,6 +211,11 @@ func NewClusterSystem(cfg ClusterConfig) (*ClusterSystem, error) {
 		return nil, err
 	}
 	cs.Cluster = cl
+	cs.front = &frontEnd{
+		cluster: cl, routes: routes, workers: cfg.Workers, curve: cs.Nodes[0][0].Curve,
+		cache: cs.Cache, model: cs.Model, tracer: cs.Tracer, metrics: cs.Metrics,
+		slowLog: cs.SlowLog, slowThresh: base.SlowLogThreshold,
+	}
 	return cs, nil
 }
 
@@ -233,22 +236,11 @@ func modalityFor(cfg Config, i int) synth.Modality {
 
 // Route returns the shard a study's queries are served by.
 func (cs *ClusterSystem) Route(studyID int) (shard int, ok bool) {
-	key, ok := cs.routes[studyID]
-	if !ok {
+	key, err := cs.front.key(studyID)
+	if err != nil {
 		return 0, false
 	}
 	return cs.Cluster.Partitioner().Shard(key), true
-}
-
-// fe returns the cluster's shared front end.
-func (cs *ClusterSystem) fe() frontEnd {
-	return frontEnd{
-		cache:      cs.Cache,
-		model:      cs.Model,
-		metrics:    cs.Metrics,
-		slowLog:    cs.SlowLog,
-		slowThresh: cs.Cfg.Base.SlowLogThreshold,
-	}
 }
 
 // RunQuery executes one query end to end through the cluster: route by
@@ -256,57 +248,7 @@ func (cs *ClusterSystem) fe() frontEnd {
 // the shared front end. The result's Shard field reports how the read
 // was served.
 func (cs *ClusterSystem) RunQuery(spec QuerySpec) (*QueryResult, error) {
-	return cs.runQuerySpan(nil, spec)
-}
-
-func (cs *ClusterSystem) runQuerySpan(parent *obs.Span, spec QuerySpec) (*QueryResult, error) {
-	cs.Cache.Flush() // same measurement protocol as System.RunQuery
-	totalStart := time.Now()
-
-	var root *obs.Span
-	if parent != nil {
-		root = parent.Child("query")
-	} else {
-		root = cs.Tracer.Start("query")
-	}
-	root.SetStr("spec", spec.Label())
-
-	key, ok := cs.routes[spec.StudyID]
-	if !ok {
-		// Unroutable: terminal, not a shard health problem.
-		return nil, cs.fe().fail(root, transport.RetryStats{Attempts: 1},
-			fmt.Errorf("qbism: no study %d in the cluster corpus", spec.StudyID))
-	}
-	request, err := EncodeQueryRequest(spec)
-	if err != nil {
-		return nil, cs.fe().fail(root, transport.RetryStats{}, err)
-	}
-
-	// Validation runs inside the read, so a reply corrupted in flight
-	// fails over to another node like a failed call.
-	resp, info, err := cs.Cluster.Read(root, key, medicalQueryMethod, request, func(resp []byte) error {
-		_, _, err := splitResponse(resp)
-		return err
-	})
-	retry := transport.RetryStats{Attempts: info.Attempts, Retries: info.Retries, BackoffSim: info.BackoffSim}
-	if err != nil {
-		retry.LastError = err.Error()
-		return nil, cs.fe().fail(root, retry, fmt.Errorf("qbism: query failed: %w", err))
-	}
-	meta, blob, err := splitResponse(resp)
-	if err != nil {
-		// Unreachable: the read already validated the winning reply.
-		return nil, cs.fe().fail(root, retry, err)
-	}
-	// One successful exchange = 2 messages; the read's simulated
-	// latency already prices the winning call's network model time,
-	// injected latency, and call quantum.
-	res, err := cs.fe().finish(root, spec, meta, blob, retry, 2, info.LatencySim, totalStart)
-	if res != nil {
-		shardInfo := info
-		res.Shard = &shardInfo
-	}
-	return res, err
+	return cs.front.runQuery(nil, spec)
 }
 
 // RunQueries scatter-gathers the specs across the cluster over a
@@ -325,84 +267,17 @@ func (cs *ClusterSystem) RunQueries(specs []QuerySpec, workers int) ([]BatchItem
 // RunQueriesTraced is RunQueries plus the batch's root span (nil when
 // tracing is off).
 func (cs *ClusterSystem) RunQueriesTraced(specs []QuerySpec, workers int) ([]BatchItem, *cluster.PartialResult, *obs.Span) {
-	if workers <= 0 {
-		workers = cs.Cfg.Workers
-	}
-	batch := cs.Tracer.Start("batch")
-	batch.SetInt("queries", int64(len(specs)))
-	batch.SetInt("workers", int64(workers))
-	defer batch.End()
-
-	out := make([]BatchItem, len(specs))
-	forEach(len(specs), workers, func(i int) {
-		res, err := cs.runQuerySpan(batch, specs[i])
-		out[i] = BatchItem{Spec: specs[i], Res: res, Err: err}
-	})
-
-	partial := cs.buildPartial(out)
-	if partial != nil {
-		cs.Metrics.Counter("cluster_partial_total").Inc()
-		cs.Metrics.Counter("cluster_lost_queries_total").Add(int64(partial.LostKeys()))
-		batch.SetStr("partial", partial.String())
-	}
-	return out, partial, batch
-}
-
-// buildPartial folds a batch's shard-unavailable failures into the
-// typed PartialResult meta.
-func (cs *ClusterSystem) buildPartial(items []BatchItem) *cluster.PartialResult {
-	keys := make([]cluster.Key, len(items))
-	shards := make([]int, len(items))
-	errs := make([]error, len(items))
-	for i, item := range items {
-		errs[i] = item.Err
-		key, ok := cs.routes[item.Spec.StudyID]
-		if !ok {
-			continue // unroutable items are plain errors, not lost shards
-		}
-		keys[i] = key
-		shards[i] = cs.Cluster.Partitioner().Shard(key)
-	}
-	return cluster.BuildPartial(cs.Cluster.Shards(), keys, shards, errs)
+	return cs.front.runQueries(specs, workers)
 }
 
 // ConsistentBandRegion computes the population answer — the REGION
 // where every listed study has intensities in [bandLo, bandHi] — by
-// scatter-gathering per-study band queries across the cluster. When
-// shards are lost past retries, the intersection covers the surviving
-// studies only and the PartialResult names what is missing; err is
-// non-nil only for terminal failures or when no study survived.
+// scatter-gathering per-study band-REGION reads across the cluster.
+// When shards are lost past retries, the intersection covers the
+// surviving studies only and the PartialResult names what is missing;
+// err is non-nil only for terminal failures or when no study survived.
 func (cs *ClusterSystem) ConsistentBandRegion(studies []int, bandLo, bandHi int, encoding string, workers int) (*region.Region, *cluster.PartialResult, error) {
-	if len(studies) == 0 {
-		return nil, nil, fmt.Errorf("qbism: ConsistentBandRegion needs at least one study")
-	}
-	specs := make([]QuerySpec, len(studies))
-	for i, id := range studies {
-		specs[i] = QuerySpec{
-			StudyID: id, Atlas: "Talairach",
-			HasBand: true, BandLo: bandLo, BandHi: bandHi, Encoding: encoding,
-		}
-	}
-	items, partial := cs.RunQueries(specs, workers)
-	var regions []*region.Region
-	for _, item := range items {
-		switch {
-		case item.Err == nil:
-			// A band query's DataRegion carries exactly the band REGION
-			// (Extract preserves the query region).
-			regions = append(regions, item.Res.Data.Region)
-		case errors.Is(item.Err, cluster.ErrShardUnavailable):
-			// Accounted in partial; the intersection degrades gracefully.
-		default:
-			return nil, partial, fmt.Errorf("qbism: study %d band [%d,%d]: %w",
-				item.Spec.StudyID, bandLo, bandHi, item.Err)
-		}
-	}
-	if len(regions) == 0 {
-		return nil, partial, fmt.Errorf("qbism: all %d studies lost: %w", len(studies), cluster.ErrShardUnavailable)
-	}
-	out, err := region.IntersectN(regions...)
-	return out, partial, err
+	return cs.front.consistentBandRegion(studies, bandLo, bandHi, encoding, workers)
 }
 
 // BuildActivityIndex builds the population activity index across every

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qbism/internal/atlas"
+	"qbism/internal/cluster"
 	"qbism/internal/costmodel"
 	"qbism/internal/dx"
 	"qbism/internal/faultsim"
@@ -102,7 +103,7 @@ type Config struct {
 	// (the system passed in is fully built). Nil means the default: the
 	// simulated link, System.Link. The loopback equivalence suite dials a
 	// TCP transport here instead, pointing the system's own query path
-	// at a daemon serving the same system.
+	// at a daemon serving the system.
 	Dial func(*System) (transport.Transport, error)
 
 	// CachePages, when positive, enables a CLOCK page cache of that many
@@ -193,11 +194,11 @@ type System struct {
 	Atlas *atlas.Atlas
 	Cache *dx.Cache
 
-	// Retry is the client-side retry policy for RunQuery (from Config).
-	Retry transport.RetryPolicy
 	// Transport carries the DX↔MedicalServer exchanges (from
-	// Config.Dial; default: Link). The query path prices network time
-	// from deltas of its Stats.
+	// Config.Dial; default: Link). It is the one node of the System's
+	// one-shard cluster, fixed at New: assigning a different transport
+	// afterwards does not reroute queries. The query path prices network
+	// time from deltas of its Stats.
 	Transport transport.Transport
 	// LinkFaults/DeviceFaults are the active fault injectors (nil when
 	// the corresponding policy is unset); their counters feed chaos
@@ -232,6 +233,10 @@ type System struct {
 	// by concurrent query workers and rewritten by AdaptBandRepr.
 	reprMu   sync.RWMutex
 	bandRepr map[bandKey]string // guarded by reprMu
+
+	// front is the client side every query goes through: a one-shard,
+	// one-node cluster over Transport.
+	front *frontEnd
 }
 
 // New builds, loads, and wires up a complete system: schema, atlas,
@@ -271,7 +276,6 @@ func New(cfg Config) (*System, error) {
 		Curve:       curve,
 		ZCurve:      zcurve,
 		LFM:         mgr,
-		Retry:       cfg.Retry,
 		DB:          sdb.NewDB(mgr),
 		Model:       costmodel.Default1993(),
 		Cache:       dx.NewCache(8),
@@ -336,6 +340,19 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("qbism: dialing transport: %w", err)
 		}
 		s.Transport = tr
+	}
+	// A single node is a one-shard cluster: the same read loop, retry
+	// schedule, and front end as a ClusterSystem, over one transport.
+	cl, err := cluster.New(cluster.Config{Retry: cfg.Retry.WithDefaults(), Metrics: s.Metrics},
+		[][]transport.Transport{{s.Transport}})
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	s.front = &frontEnd{
+		cluster: cl, workers: cfg.Workers, curve: curve,
+		cache: s.Cache, model: s.Model, tracer: s.Tracer, metrics: s.Metrics,
+		slowLog: s.SlowLog, slowThresh: cfg.SlowLogThreshold,
 	}
 	return s, nil
 }

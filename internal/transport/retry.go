@@ -6,7 +6,6 @@ import (
 
 	"qbism/internal/faultsim"
 	"qbism/internal/lfm"
-	"qbism/internal/obs"
 )
 
 // RetryPolicy governs how a client retries transient call failures.
@@ -17,9 +16,10 @@ import (
 // time (priced into the query's timing like the cost model's network
 // time), never real sleeps, so benchmarks stay fast and reproducible.
 //
-// The policy lives at the transport seam: the same schedule drives
-// single-link retries, cluster failover waits, and (through a tcp
-// transport) retries against a live daemon.
+// The policy lives at the transport seam; the one loop that applies it
+// is cluster.ReadShard, which serves a single node (a one-shard,
+// one-node cluster) and a replicated fleet alike, over any transport
+// flavor.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (1 = no retries).
 	MaxAttempts int
@@ -53,8 +53,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 
 // Backoff returns the simulated wait before retrying after the given
 // 1-based failed attempt: capped exponential with jitter in [d/2, d).
-// Exported so the cluster layer reuses the exact same schedule for
-// cross-node failover retries.
 func (p RetryPolicy) Backoff(attempt int, rng *faultsim.Rand) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
@@ -120,37 +118,4 @@ func JitterSeed(seed uint64, key string) uint64 {
 		h *= 1099511628211
 	}
 	return seed ^ h
-}
-
-// CallRetry performs one logical RPC over t with the policy's retry
-// schedule: transient failures (per RetryableError) are retried up to
-// MaxAttempts with capped, deterministically jittered simulated
-// backoff; terminal failures and exhausted attempts return the last
-// error. validate, when non-nil, runs on each successful response —
-// a validation failure (e.g. a frame corrupted past the link layer's
-// own checks) is classified and retried exactly like a call failure.
-// key seeds the jitter stream so two identical runs back off
-// identically; retries are reported to the transport via NoteRetry so
-// link-level meters reconcile with the returned RetryStats.
-func CallRetry(t Transport, parent *obs.Span, method string, request []byte, pol RetryPolicy, key string, validate func([]byte) error) ([]byte, RetryStats, error) {
-	pol = pol.WithDefaults()
-	jitter := faultsim.NewRand(JitterSeed(pol.Seed, key))
-	var retry RetryStats
-	for attempt := 1; ; attempt++ {
-		retry.Attempts = attempt
-		resp, err := t.Call(parent, method, request)
-		if err == nil && validate != nil {
-			err = validate(resp)
-		}
-		if err == nil {
-			return resp, retry, nil
-		}
-		retry.LastError = err.Error()
-		if attempt >= pol.MaxAttempts || !RetryableError(err) {
-			return nil, retry, err
-		}
-		retry.Retries++
-		retry.BackoffSim += pol.Backoff(attempt, jitter)
-		NoteRetry(t)
-	}
 }

@@ -18,11 +18,10 @@
 //   - TCP: real sockets speaking the CRC frame protocol (frame.go) to a
 //     qbismd daemon. The only flavor allowed to read the wall clock.
 //
-// Client-side resilience lives here too (retry.go): CallRetry wraps any
-// Transport with the capped-exponential, deterministically jittered
-// retry schedule, and RetryPolicy plus RetryableError are the one retry
-// configuration and transient-vs-terminal classification both the
-// single-link client and the cluster failover path use.
+// Client-side resilience is configured here too (retry.go):
+// RetryPolicy's capped-exponential, deterministically jittered schedule
+// and RetryableError's transient-vs-terminal classification are what
+// the one retry loop, cluster.ReadShard, applies to any Transport.
 package transport
 
 import (

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"qbism/internal/faultsim"
 	"qbism/internal/obs"
 )
 
@@ -54,116 +53,6 @@ func TestLocalHandlerErrorCounted(t *testing.T) {
 	}
 	if st := l.Stats(); st.Errors != 1 {
 		t.Errorf("errors %d, want 1", st.Errors)
-	}
-}
-
-// flaky fails its first n calls with err, then succeeds.
-type flaky struct {
-	Local
-	failures int
-	err      error
-	calls    int
-}
-
-func (f *flaky) Call(parent *obs.Span, method string, request []byte) ([]byte, error) {
-	f.calls++
-	if f.calls <= f.failures {
-		return nil, f.err
-	}
-	return []byte("ok"), nil
-}
-
-func TestCallRetryCuresTransientFailures(t *testing.T) {
-	tr := &flaky{failures: 2, err: fmt.Errorf("wrapped: %w", ErrConn)}
-	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Seed: 7}
-	resp, st, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ok" {
-		t.Fatalf("got %q", resp)
-	}
-	if st.Attempts != 3 || st.Retries != 2 {
-		t.Errorf("stats %+v, want 3 attempts / 2 retries", st)
-	}
-	if st.BackoffSim <= 0 {
-		t.Error("no simulated backoff accumulated")
-	}
-	if st.LastError == "" {
-		t.Error("LastError must survive an eventual success")
-	}
-	if tr.Stats().Retries != 2 {
-		t.Errorf("transport retry meter %d, want 2", tr.Stats().Retries)
-	}
-}
-
-func TestCallRetryTerminalFailsFast(t *testing.T) {
-	terminal := errors.New("semantic failure")
-	tr := &flaky{failures: 99, err: terminal}
-	pol := RetryPolicy{MaxAttempts: 5, Seed: 1}
-	_, st, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
-	if !errors.Is(err, terminal) {
-		t.Fatalf("got %v", err)
-	}
-	if st.Attempts != 1 || st.Retries != 0 {
-		t.Errorf("terminal error retried: %+v", st)
-	}
-}
-
-func TestCallRetryExhaustion(t *testing.T) {
-	tr := &flaky{failures: 99, err: fmt.Errorf("down: %w", ErrDial)}
-	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1}
-	_, st, err := CallRetry(tr, nil, "m", nil, pol, "key", nil)
-	if !errors.Is(err, ErrDial) {
-		t.Fatalf("got %v", err)
-	}
-	if st.Attempts != 3 || st.Retries != 2 {
-		t.Errorf("stats %+v, want 3 attempts / 2 retries", st)
-	}
-}
-
-// TestCallRetryValidateFailureRetried: a response that fails the
-// caller's validation is classified and retried exactly like a call
-// failure — the loop the query path relies on for corrupt replies.
-func TestCallRetryValidateFailureRetried(t *testing.T) {
-	tr := &flaky{failures: 0, err: nil}
-	calls := 0
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second, Seed: 1}
-	resp, st, err := CallRetry(tr, nil, "m", nil, pol, "key", func(b []byte) error {
-		calls++
-		if calls < 3 {
-			return fmt.Errorf("reply damaged: %w", ErrFrameCorrupt)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ok" || st.Attempts != 3 {
-		t.Fatalf("resp %q, stats %+v", resp, st)
-	}
-}
-
-// TestCallRetryDeterministicBackoff: identical (policy, key) pairs
-// back off identically; different keys draw different jitter.
-func TestCallRetryDeterministicBackoff(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 4, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, Seed: 9}
-	run := func(key string) time.Duration {
-		tr := &flaky{failures: 99, err: fmt.Errorf("x: %w", ErrConn)}
-		_, st, _ := CallRetry(tr, nil, "m", nil, pol, key, nil)
-		return st.BackoffSim
-	}
-	if a, b := run("k1"), run("k1"); a != b {
-		t.Errorf("same key backed off differently: %v vs %v", a, b)
-	}
-	if a, b := run("k1"), run("k2"); a == b {
-		t.Errorf("different keys drew identical jitter: %v", a)
-	}
-	// And the schedule matches the policy's own Backoff stream.
-	rng := faultsim.NewRand(JitterSeed(pol.Seed, "k1"))
-	want := pol.Backoff(1, rng) + pol.Backoff(2, rng) + pol.Backoff(3, rng)
-	if got := run("k1"); got != want {
-		t.Errorf("backoff %v, want the policy schedule %v", got, want)
 	}
 }
 
